@@ -19,6 +19,7 @@ improper integrals converge.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -345,6 +346,37 @@ def inverse_tail_threshold(
 # Meta distribution via Gil-Pelaez inversion
 # ---------------------------------------------------------------------------
 
+# (s, node) pairs per row chunk in `_RadialGrid.exponent`; the chunk's one
+# complex buffer is 16 MB whatever the batch size.
+_EXPONENT_CHUNK_ELEMS = 1 << 20
+
+
+@functools.lru_cache(maxsize=128)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    Golub-Welsch via `scipy.special.roots_legendre`, O(n^2) where numpy's
+    `leggauss` is O(n^3); cached because grids repeat panel sizes.
+    """
+    x, w = special.roots_legendre(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _oscillation(s: np.ndarray, lnb: np.ndarray, wz: np.ndarray) -> np.ndarray:
+    """sum_i wz_i e^{j s ln b_i} for each s, in row chunks of bounded size."""
+    out = np.empty(s.size, dtype=complex)
+    rows = max(1, _EXPONENT_CHUNK_ELEMS // max(lnb.size, 1))
+    buffer = np.empty((min(rows, s.size), lnb.size), dtype=complex)
+    jlnb = 1j * lnb
+    for i in range(0, s.size, rows):
+        phase = buffer[:min(rows, s.size - i)]
+        np.multiply.outer(s[i:i + rows], jlnb, out=phase)
+        out[i:i + rows] = np.exp(phase, out=phase) @ wz
+    return out
+
+
 class _RadialGrid:
     """Fixed composite Gauss-Legendre grid for the complex-order PGFL exponent.
 
@@ -353,9 +385,16 @@ class _RadialGrid:
     for whole arrays of s at once. For a base vanishing at z = 0 (block
     ALOHA, or classical with q = 1) the log-singular inner region is resolved
     up to `s_inner` and replaced by its stationary-phase limit beyond.
+
+    The window L must be finite. `exponent` works through the s batch in
+    row chunks of at most `_EXPONENT_CHUNK_ELEMS` (s, node) pairs in one
+    reused complex buffer, so a call needs about 16 MB of working memory
+    beyond its O(len(s) + nodes) inputs and outputs, however large the batch.
     """
 
     def __init__(self, q, lam_eff, channel, r0, L, protocol, s_cap=4000.0):
+        if math.isinf(L):
+            raise ValueError("meta-distribution inversion requires a finite window")
         self.lam_eff = float(lam_eff)
         self.s_cap = float(s_cap)
         a = channel.pathloss_exp_alpha
@@ -391,7 +430,7 @@ class _RadialGrid:
             zs, ws = [], []
             for a_, b_ in panels:
                 n = panel_nodes(a_, b_, s_res)
-                x, w = np.polynomial.legendre.leggauss(n)
+                x, w = _gauss_legendre(n)
                 zs.append(0.5 * (b_ - a_) * x + 0.5 * (a_ + b_))
                 ws.append(0.5 * (b_ - a_) * w)
             return np.concatenate(zs), np.concatenate(ws)
@@ -405,10 +444,7 @@ class _RadialGrid:
 
         inner_panels = geom_panels(max(z_lo, knee * 1e-8), knee, 1.5)
         z_in, w_in = build(inner_panels, self.s_inner)
-        L_eff = L
-        if math.isinf(L):
-            raise ValueError("meta-distribution inversion requires a finite window")
-        outer_panels = geom_panels(knee, L_eff, 1.5) if knee < L_eff else []
+        outer_panels = geom_panels(knee, L, 1.5) if knee < L else []
         if outer_panels:
             z_out, w_out = build(outer_panels, self.s_cap)
         else:
@@ -438,17 +474,21 @@ class _RadialGrid:
 
     def exponent(self, s: np.ndarray) -> np.ndarray:
         """X(s) = -2 pi lam_eff * Int (1 - e^{j s ln base}) z dz, vectorized in s."""
-        s = np.asarray(s, dtype=float)
-        osc_out = np.exp(1j * np.outer(s, self._lnb_out)) @ self._wz_out
+        s = np.asarray(s, dtype=float).ravel()
+        osc_out = _oscillation(s, self._lnb_out, self._wz_out)
         osc_in = np.zeros(s.shape, dtype=complex)
         resolved = s <= self.s_inner
         if np.any(resolved):
-            osc_in[resolved] = (
-                np.exp(1j * np.outer(s[resolved], self._lnb_in)) @ self._wz_in
-            )
+            osc_in[resolved] = _oscillation(s[resolved], self._lnb_in, self._wz_in)
         # beyond s_inner the inner oscillation integrates to ~0 (stationary phase)
         integral = self._mass - osc_out - osc_in
         return -2.0 * math.pi * self.lam_eff * integral
+
+
+@functools.lru_cache(maxsize=16)
+def _radial_grid(q, lam_eff, channel, r0, L, protocol) -> _RadialGrid:
+    """One grid per (q, lam_eff, channel, r0, L, protocol), shared across beta."""
+    return _RadialGrid(q, lam_eff, channel, r0, L, protocol)
 
 
 def _accelerated_limit(values: np.ndarray) -> tuple[float, float]:
@@ -477,7 +517,7 @@ def _gil_pelaez_integral(
     g0 = grid.mean_log_base - c_noise - ln_pstar
     total = g0 * s_min  # series value on [0, s_min]
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
+    gl_x, gl_w = _gauss_legendre(10)
     max_segments = max(4000, 50 * quad.max_subdivisions)
     batch = 128
 
@@ -550,6 +590,8 @@ def meta_distribution_rested(
     """
     protocol = Protocol(protocol)
     _check_window(quad, query.channel)
+    if math.isinf(quad.outer_limit):
+        raise ValueError("meta-distribution inversion requires a finite window")
     pstar = inverse_tail_threshold(query.T, query.v, query.q, query.beta, protocol)
     if pstar is None:
         return 0.0
@@ -566,7 +608,7 @@ def meta_distribution_rested(
         # deterministic success probability: point-mass CCDF
         return 1.0 if p0 >= pstar else 0.0
 
-    grid = _RadialGrid(
+    grid = _radial_grid(
         query.q, lam_eff, query.channel, query.r0, quad.outer_limit, protocol
     )
     integral = _gil_pelaez_integral(grid, c_noise, math.log(pstar), quad)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alohactrl import analytics
 from alohactrl.aloha import Protocol
 from alohactrl.analytics import (
     MetaQuery,
     QuadratureSpec,
+    _gauss_legendre,
+    _radial_grid,
     _RadialGrid,
     binomial_tail,
     interference_log_integral,
@@ -20,6 +24,7 @@ from alohactrl.analytics import (
     run_ccdf_demoivre,
 )
 from alohactrl.channel import ChannelParams, cond_success_prob_block
+from alohactrl.config import load_config
 
 
 def rng(seed=0):
@@ -404,3 +409,91 @@ class TestMetaDistribution:
             )
             got = grid.exponent(np.array([s]))[0]
             assert abs(got - want) < 2e-4, (s, got, want)
+
+    def test_grid_shared_across_beta(self, monkeypatch):
+        # the radial grid does not depend on beta: a second beta at the same
+        # q reuses the first one's grid
+        builds = []
+        build = _RadialGrid.__init__
+
+        def counting_build(grid, *args, **kwargs):
+            builds.append(args)
+            build(grid, *args, **kwargs)
+
+        monkeypatch.setattr(_RadialGrid, "__init__", counting_build)
+        _radial_grid.cache_clear()
+        params = unit_params()
+        quad = QuadratureSpec(outer_limit=500.0)
+        for beta in (0.5, 0.9):
+            query = MetaQuery(4, beta, 20, 0.7, 1e-4, params, 10.0)
+            meta_distribution_rested(query, quad, Protocol.CLASSICAL)
+        assert len(builds) == 1
+
+    def test_infinite_window_rejected_before_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("radial grid built for an infinite window")
+
+        monkeypatch.setattr(analytics, "_radial_grid", no_grid)
+        quad = QuadratureSpec(outer_limit=math.inf)
+        for q in (0.7, 0.5):  # q = 0.5 < beta has no threshold p*
+            query = MetaQuery(4, 0.6, 20, q, 1e-4, unit_params(alpha=4.0), 10.0)
+            with pytest.raises(ValueError, match="finite window"):
+                meta_distribution_rested(query, quad, Protocol.BLOCK)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [10, 12, 257, 1500])
+    def test_matches_leggauss(self, n):
+        x, w = _gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - x_ref)) < 1e-12
+        assert np.max(np.abs(w - w_ref)) < 1e-12
+
+    def test_read_only(self):
+        x, w = _gauss_legendre(12)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+
+class TestChunkedExponent:
+    @staticmethod
+    def one_shot(grid, s):
+        osc_out = np.exp(1j * np.outer(s, grid._lnb_out)) @ grid._wz_out
+        osc_in = np.exp(1j * np.outer(s, grid._lnb_in)) @ grid._wz_in
+        osc_in[s > grid.s_inner] = 0.0
+        return -2.0 * math.pi * grid.lam_eff * (grid._mass - osc_out - osc_in)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6])
+    def test_matches_one_shot(self, lam, monkeypatch):
+        # a small chunk budget splits the batch into many chunks and a
+        # partial last one; lam = 1e-6 puts s_inner below s_cap, so part of
+        # the batch takes the stationary-phase branch
+        q, r0, R = 0.7, 10.0, 500.0
+        grid = _RadialGrid(q, q * lam, unit_params(), r0, R, Protocol.BLOCK)
+        s = np.linspace(0.01, 300.0, 301)
+        monkeypatch.setattr(analytics, "_EXPONENT_CHUNK_ELEMS", 5 * grid._lnb_in.size + 1)
+        if lam == 1e-6:
+            assert 0.01 < grid.s_inner < 300.0 < grid.s_cap
+        got = grid.exponent(s)
+        want = self.one_shot(grid, s)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_memory_bounded_on_fig4_block_grid(self):
+        # the block q = 0.95 fig4 grid has about 45k inner nodes; a one-shot
+        # 1280-value batch needs about 1.9 GB of complex temporaries
+        config = load_config("fig4")
+        q, ppp = 0.95, config.ppp
+        grid = _RadialGrid(
+            q, q * ppp.intensity_lambda, config.channel, ppp.typical_distance_r0,
+            ppp.window_radius_R, Protocol.BLOCK,
+        )
+        assert grid._lnb_in.size > 40_000
+        s = np.linspace(1e-3, grid.s_inner, 1280)
+        tracemalloc.start()
+        try:
+            grid.exponent(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
