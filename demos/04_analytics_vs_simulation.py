@@ -12,7 +12,8 @@ import numpy as np
 from alohactrl import ChannelParams, PppConfig, QuadratureSpec
 from alohactrl.aloha import Protocol
 from alohactrl.analytics import prob_block_controllable_restless
-from alohactrl.montecarlo import _longest_runs, simulate_ack_blocks
+from alohactrl.control import longest_runs
+from alohactrl.montecarlo import simulate_ack_blocks
 
 lam, r0, R = 1e-4, 10.0, 500.0
 params = ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0)
@@ -28,7 +29,7 @@ for i, q in enumerate([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]):
     acks = simulate_ack_blocks(
         ppp, params, Protocol.BLOCK, q, T, n_blocks, np.random.SeedSequence(40 + i)
     )
-    emp = float(np.mean(_longest_runs(acks) >= v))
+    emp = float(np.mean(longest_runs(acks) >= v))
     hw = 1.96 * math.sqrt(emp * (1 - emp) / n_blocks)
     analytic = prob_block_controllable_restless(
         T, v, q, lam, params, quad, Protocol.BLOCK, r0=r0

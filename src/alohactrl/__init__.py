@@ -1,14 +1,14 @@
 """alohactrl: ALOHA channel access for Poisson networks of control loops.
 
 A simulator plus closed-form analytics toolkit: Poisson bipolar geometry,
-SINR success events, restless/rested control loops over the lossy link,
+SINR success probabilities, restless/rested control loops over the lossy link,
 block/classical ALOHA access, network-averaged controllability statistics,
 meta distributions, and Thompson-sampling selection of the ALOHA parameter.
 """
 
 __version__ = "0.1.0"
 
-from .aloha import AlohaPolicy, Protocol, draw_access_block, draw_access_classical
+from .aloha import Protocol
 from .analytics import (
     MetaQuery,
     QuadratureError,
@@ -26,7 +26,6 @@ from .bandit import (
     RegretTrace,
     batch_update,
     oracle_arm,
-    regret_envelope,
     regret_envelope_explicit,
     run_ts,
     sample_beta,
@@ -34,14 +33,10 @@ from .bandit import (
 )
 from .channel import (
     ChannelParams,
-    SlotOutcome,
-    compute_sinr,
+    block_success_prob,
     cond_success_prob_block,
     cond_success_prob_classical,
     default_channel,
-    run_slot,
-    sample_fading_power,
-    success_event,
 )
 from .control import (
     BlockTrace,
@@ -51,17 +46,16 @@ from .control import (
     holding_input,
     is_block_controllable_rested,
     is_block_controllable_restless,
+    longest_runs,
     minimal_poly_degree,
     propagate,
     run_block_rested,
     run_block_restless,
-    update_estimate,
 )
 from .geometry import (
     NetworkRealization,
     PppConfig,
     default_window_radius,
-    expected_interference_mean,
     realization_from_json,
     realization_to_json,
     sample_ppp,

@@ -1,55 +1,18 @@
-"""Random channel access: classical (per-slot) and block (per-block) ALOHA."""
+"""Random channel access: classical (per-slot) and block (per-block) ALOHA.
+
+Under block ALOHA each controller decides once per block whether to transmit
+in all T slots; under classical ALOHA it decides anew in every slot. The
+draws themselves live with their consumers (`channel.block_success_prob`
+draws the interferers' activity, the simulators the typical pair's).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-__all__ = ["Protocol", "AlohaPolicy", "draw_access_block", "draw_access_classical"]
+__all__ = ["Protocol"]
 
 
 class Protocol(str, Enum):
     BLOCK = "block"
     CLASSICAL = "classical"
-
-
-@dataclass(frozen=True)
-class AlohaPolicy:
-    """Access protocol, access probability, and the candidate arm set used by
-    the online parameter selection."""
-
-    protocol: Protocol
-    q: float
-    arm_set_P: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "protocol", Protocol(self.protocol))
-        object.__setattr__(self, "arm_set_P", tuple(float(p) for p in self.arm_set_P))
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        arms = self.arm_set_P
-        if arms:
-            if any(not 0.0 < p <= 1.0 for p in arms):
-                raise ValueError("every arm must lie in (0, 1]")
-            if any(b <= a for a, b in zip(arms, arms[1:])):
-                raise ValueError("arm_set_P must be strictly increasing")
-
-
-def draw_access_block(q: float, num_nodes: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-node activity held constant over the whole block."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    return (rng.random(num_nodes) < q).astype(np.uint8)
-
-
-def draw_access_classical(
-    q: float, num_nodes: int, T: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Independent per-node, per-slot activity; shape (num_nodes, T)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    return (rng.random((num_nodes, T)) < q).astype(np.uint8)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .aloha import Protocol
-from .channel import ChannelParams
+from .channel import ChannelParams, suppression_factors
 
 __all__ = [
     "QuadratureSpec",
@@ -143,13 +143,10 @@ def _run_ccdf_exact(T: int, v: int, p: float, lmax: int) -> float:
 def _base_factor(z, q: float, channel: ChannelParams, r0: float, protocol: Protocol):
     """Per-interferer product base at radius z.
 
-    Block: x(z) = r0^(-a) / (r0^(-a) + gamma z^(-a)); classical: q x(z) + 1 - q.
+    Block: x(z) = `suppression_factors` (1 / (1 + gamma (z/r0)^(-a)));
+    classical: q x(z) + 1 - q.
     """
-    a = channel.pathloss_exp_alpha
-    g = channel.sinr_threshold_gamma
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore"):
-        x = 1.0 / (1.0 + g * (z / r0) ** (-a))
+    x = suppression_factors(z, r0, channel)
     if protocol is Protocol.BLOCK:
         return x
     return q * x + 1.0 - q

@@ -6,6 +6,11 @@ argmax arm, observes the typical pair's T per-slot acknowledgments for the
 block and batch-updates the pulled arm. The per-block expected reward of arm
 q on a fixed network realization is T * q * P_cls(q) (per-slot marginal
 success probability, identical under block and classical thinning).
+
+A block's acknowledgment count is drawn as one Binomial(T, p): given the
+realization the slot successes are i.i.d. Bernoulli(p), with p = q P_cls(q)
+under classical ALOHA and, under block ALOHA, p = P_blk of the block's drawn
+active set when the typical pair transmits (0 when it is idle).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aloha import Protocol
-from .channel import ChannelParams, cond_success_prob_classical
+from .channel import ChannelParams, block_success_prob, cond_success_prob_classical
 from .geometry import NetworkRealization
 
 __all__ = [
@@ -26,9 +31,7 @@ __all__ = [
     "select_arm",
     "batch_update",
     "oracle_arm",
-    "simulate_reward_block",
     "run_ts",
-    "regret_envelope",
     "regret_envelope_explicit",
 ]
 
@@ -118,44 +121,6 @@ def oracle_arm(
     return idx, rewards[idx]
 
 
-def simulate_reward_block(
-    realization: NetworkRealization,
-    q: float,
-    protocol: Protocol,
-    channel: ChannelParams,
-    T: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Acknowledgment sequence of one block for the typical pair.
-
-    Draws channel access (per block or per slot), per-slot fading for every
-    link and the SINR threshold test. Under block ALOHA an idle typical
-    controller yields an all-zero sequence without any channel draws.
-    """
-    protocol = Protocol(protocol)
-    n = realization.num_interferers
-    w = channel.rx_power_coeff(realization.interferer_distances) if n else np.empty(0)
-    sig_coeff = float(channel.rx_power_coeff(realization.typical_distance_r0))
-
-    if protocol is Protocol.BLOCK:
-        if rng.random() >= q:
-            return np.zeros(T, dtype=np.uint8)
-        active = rng.random(n) < q
-        h = rng.exponential(1.0, (n, T)) if n else np.empty((0, T))
-        interference = (w * active) @ h if n else np.zeros(T)
-        typical_tx = np.ones(T, dtype=bool)
-    else:
-        typical_tx = rng.random(T) < q
-        active = rng.random((n, T)) < q if n else np.empty((0, T), dtype=bool)
-        h = rng.exponential(1.0, (n, T)) if n else np.empty((0, T))
-        interference = np.einsum("i,it,it->t", w, active, h) if n else np.zeros(T)
-
-    h0 = rng.exponential(1.0, T)
-    with np.errstate(divide="ignore"):  # noiseless empty-interference slots: inf SINR
-        sinr = sig_coeff * h0 / (channel.noise_power_N0 + interference)
-    return (typical_tx & (sinr > channel.sinr_threshold_gamma)).astype(np.uint8)
-
-
 def run_ts(
     realization: NetworkRealization,
     arms,
@@ -188,11 +153,19 @@ def run_ts(
     chosen = np.empty(K, dtype=int)
     pulls: dict[int, int] = {d: 0 for d in range(D)}
     history: list[dict] = []
+    counts = [realization.num_interferers]
 
     for k in range(K):
         d = select_arm(posteriors, rng)
-        acks = simulate_reward_block(realization, arms[d], protocol, channel, T, rng)
-        succ = int(acks.sum())
+        if protocol is Protocol.CLASSICAL:
+            p = mu[d] / T
+        elif rng.random() < arms[d]:
+            p = block_success_prob(realization.interferer_distances, counts,
+                                   realization.typical_distance_r0, channel,
+                                   protocol, arms[d], rng)[0]
+        else:
+            p = 0.0
+        succ = int(rng.binomial(T, p))
         posteriors[d] = batch_update(posteriors[d], succ, T)
         pulls[d] += 1
         chosen[k] = d
@@ -213,13 +186,6 @@ def run_ts(
         block_rewards=rewards,
     )
     return trace, history
-
-
-def regret_envelope(K: int, T: int, D: int, C: float = 1.0) -> float:
-    """Scaling envelope C * sqrt(T K D log K)."""
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    return C * math.sqrt(T * K * D * math.log(K))
 
 
 def regret_envelope_explicit(K: int, T: int, D: int) -> float:

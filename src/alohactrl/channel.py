@@ -1,5 +1,10 @@
-"""Rayleigh-faded SINR channel: per-slot success events and the conditional
-success probabilities of one transmission given the network geometry.
+"""Rayleigh-faded SINR channel: the success probability of one transmission
+of the typical link given the network geometry.
+
+Fading is averaged out in closed form, so no fading power is ever drawn:
+given the geometry and the active set, the slot successes are i.i.d.
+Bernoulli of that probability, and `block_success_prob` is the one kernel
+every simulated success comes from.
 
 Powers are stored in linear watts; helpers convert from dBm / carrier
 frequency, matching the configuration surface.
@@ -12,22 +17,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .aloha import Protocol
 from .geometry import NetworkRealization
 
 __all__ = [
     "ChannelParams",
-    "SlotOutcome",
-    "DegenerateInputError",
     "dbm_to_watts",
-    "watts_to_dbm",
     "db_to_linear",
     "thermal_noise_watts",
     "freespace_pathloss_const",
     "default_channel",
-    "sample_fading_power",
-    "compute_sinr",
-    "success_event",
-    "run_slot",
+    "suppression_factors",
+    "block_success_prob",
     "cond_success_prob_block",
     "cond_success_prob_classical",
 ]
@@ -44,10 +45,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -61,10 +58,6 @@ def thermal_noise_watts(bandwidth_hz: float, noise_figure_db: float = 0.0) -> fl
 def freespace_pathloss_const(carrier_hz: float) -> float:
     """Free-space reference gain (c / 4 pi f)^2 at 1 m."""
     return (SPEED_OF_LIGHT / (4.0 * math.pi * carrier_hz)) ** 2
-
-
-class DegenerateInputError(ValueError):
-    """0/0 SINR: zero noise, empty interference and zero signal fading."""
 
 
 @dataclass(frozen=True)
@@ -122,82 +115,39 @@ def default_channel(gamma: float = 1.0) -> ChannelParams:
     )
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """One slot seen by the typical pair; sinr is NaN when the pair is idle."""
-
-    typical_active: bool
-    sinr: float
-    success_S: int
-
-    def __post_init__(self):
-        if self.success_S and not self.typical_active:
-            raise ValueError("success requires the typical controller to transmit")
+def suppression_factors(distances, r0: float, params: ChannelParams) -> np.ndarray:
+    """Per-interferer factor 1 / (1 + gamma (z/r0)^(-alpha)): the chance that
+    one active Rayleigh-faded interferer at distance z leaves the typical
+    link above threshold. Zero at z = 0, without a warning."""
+    ratio = np.asarray(distances, dtype=float) / r0
+    with np.errstate(divide="ignore"):
+        return 1.0 / (1.0 + params.sinr_threshold_gamma * ratio ** (-params.pathloss_exp_alpha))
 
 
-def sample_fading_power(rng: np.random.Generator, size=None):
-    """Squared Rayleigh(1) channel gain: unit-mean exponential."""
-    return rng.exponential(1.0, size)
+def block_success_prob(
+    distances, counts, r0: float, params: ChannelParams, protocol: Protocol,
+    q: float, rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-slot success probability of the typical link in each of many
+    blocks, given that the typical pair transmits.
 
-
-def compute_sinr(
-    realization: NetworkRealization,
-    active_interferers,
-    fading_typical: float,
-    fading_interferers,
-    params: ChannelParams,
-) -> float:
-    """SINR of the typical link for given fading powers and an active subset.
-
-    `fading_interferers` aligns with `active_interferers` (indices into the
-    realization's distance list).
+    `distances` holds the interferers of every block, concatenated block by
+    block, and `counts[b]` is block b's share. Block ALOHA draws each
+    interferer's activity for the whole block and returns P_blk of the drawn
+    active set; classical ALOHA returns P_cls(q), which averages the per-slot
+    activity. Given the geometry (and the active set), a block's slot
+    successes are i.i.d. Bernoulli of this value.
     """
-    active = np.asarray(active_interferers, dtype=int)
-    h_act = np.asarray(fading_interferers, dtype=float)
-    if active.size != h_act.size:
-        raise ValueError("one fading draw per active interferer is required")
-    signal = float(params.rx_power_coeff(realization.typical_distance_r0)) * fading_typical
-    if active.size:
-        coeffs = params.rx_power_coeff(realization.interferer_distances[active])
-        interference = float(np.dot(coeffs, h_act))
+    counts = np.asarray(counts, dtype=np.int64)
+    x = suppression_factors(distances, r0, params)
+    if Protocol(protocol) is Protocol.BLOCK:
+        x = np.where(rng.random(x.size) < q, x, 1.0)
     else:
-        interference = 0.0
-    denom = params.noise_power_N0 + interference
-    if denom == 0.0:
-        if signal == 0.0:
-            raise DegenerateInputError("0/0 SINR: no noise, no interference, zero fading")
-        return math.inf
-    return signal / denom
-
-
-def success_event(sinr: float, typical_active: bool, gamma: float) -> int:
-    """1 iff the pair transmits and the SINR strictly exceeds the threshold."""
-    return int(bool(typical_active) and sinr > gamma)
-
-
-def run_slot(
-    realization: NetworkRealization,
-    active_interferers,
-    typical_active: bool,
-    params: ChannelParams,
-    rng: np.random.Generator,
-) -> SlotOutcome:
-    """Draw fresh fading and evaluate one slot for the typical pair."""
-    if not typical_active:
-        return SlotOutcome(False, math.nan, 0)
-    active = np.asarray(active_interferers, dtype=int)
-    h0 = float(sample_fading_power(rng))
-    h = sample_fading_power(rng, active.size)
-    sinr = compute_sinr(realization, active, h0, h, params)
-    return SlotOutcome(True, sinr, success_event(sinr, True, params.sinr_threshold_gamma))
-
-
-def _suppression_factors(realization: NetworkRealization, distances, params: ChannelParams):
-    """Per-interferer factor r0^(-a) / (r0^(-a) + gamma r^(-a)) in a stable form."""
-    a = params.pathloss_exp_alpha
-    g = params.sinr_threshold_gamma
-    ratio = np.asarray(distances, float) / realization.typical_distance_r0
-    return 1.0 / (1.0 + g * ratio ** (-a))
+        x = q * x + 1.0 - q
+    owner = np.repeat(np.arange(counts.size), counts)
+    with np.errstate(divide="ignore"):
+        log_prod = np.bincount(owner, weights=np.log(x), minlength=counts.size)
+    return params.noise_success_factor(r0) * np.exp(log_prod)
 
 
 def cond_success_prob_block(
@@ -208,8 +158,8 @@ def cond_success_prob_block(
     noise = params.noise_success_factor(realization.typical_distance_r0)
     if not active.size:
         return noise
-    factors = _suppression_factors(
-        realization, realization.interferer_distances[active], params
+    factors = suppression_factors(
+        realization.interferer_distances[active], realization.typical_distance_r0, params
     )
     return noise * float(np.prod(factors))
 
@@ -223,5 +173,7 @@ def cond_success_prob_classical(
     noise = params.noise_success_factor(realization.typical_distance_r0)
     if not realization.num_interferers:
         return noise
-    factors = _suppression_factors(realization, realization.interferer_distances, params)
+    factors = suppression_factors(
+        realization.interferer_distances, realization.typical_distance_r0, params
+    )
     return noise * float(np.prod(q * factors + 1.0 - q))

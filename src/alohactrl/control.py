@@ -29,7 +29,7 @@ __all__ = [
     "holding_input",
     "feedback_input",
     "propagate",
-    "update_estimate",
+    "longest_runs",
     "run_block_restless",
     "run_block_rested",
     "is_block_controllable_restless",
@@ -169,23 +169,29 @@ def propagate(sys: LtiSystem, x, u, rng: Optional[np.random.Generator] = None) -
     return nxt
 
 
-def update_estimate(sys: LtiSystem, x_hat, u_sent, S: int) -> np.ndarray:
-    """One step of the acknowledgment-driven estimate: A x_hat + S B u_sent."""
-    x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
-    u_sent = np.asarray(u_sent, dtype=float).reshape(-1)
-    return sys.A @ x_hat + (sys.B @ u_sent if S else 0.0)
+def longest_runs(acks) -> np.ndarray:
+    """Longest run of nonzero entries in each row of an acknowledgment array.
+
+    A 1-D sequence counts as one row. Each row is padded with a zero on both
+    sides, so in the flattened array the nonzero steps alternate between run
+    starts and run ends and no run crosses a row.
+    """
+    hit = np.atleast_2d(np.asarray(acks) != 0)
+    rows, width = hit.shape[0], hit.shape[1] + 2
+    padded = np.zeros((rows, width), dtype=np.int8)
+    padded[:, 1:-1] = hit
+    edges = np.flatnonzero(np.diff(padded.ravel()))
+    starts, ends = edges[::2], edges[1::2]
+    best = np.zeros(rows, dtype=np.int64)
+    np.maximum.at(best, starts // width, ends - starts)
+    return best
 
 
 def is_block_controllable_restless(acks: Sequence[int], v: int) -> bool:
     """True iff the acknowledgment sequence contains >= v consecutive ones."""
     if v < 1:
         raise ValueError("v must be >= 1")
-    run = 0
-    for s in acks:
-        run = run + 1 if s else 0
-        if run >= v:
-            return True
-    return False
+    return bool(longest_runs(acks)[0] >= v)
 
 
 def is_block_controllable_rested(acks: Sequence[int], v: int) -> bool:
@@ -368,15 +374,8 @@ def run_block_rested(
         states_x=states,
         estimates_xhat=estimates,
         inputs_applied=inputs,
-        burst_L_final=min(_longest_run(acks), sys.v),
+        burst_L_final=min(int(longest_runs(acks)[0]), sys.v),
         success_count_Lambda=int(acks.sum()),
         block_controllable=is_block_controllable_rested(acks, sys.v),
     )
 
-
-def _longest_run(acks: np.ndarray) -> int:
-    run = best = 0
-    for s in acks:
-        run = run + 1 if s else 0
-        best = max(best, run)
-    return best

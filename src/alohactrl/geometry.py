@@ -10,17 +10,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PppConfig",
     "NetworkRealization",
-    "InterferenceMean",
     "default_window_radius",
     "sample_ppp",
-    "expected_interference_mean",
     "realization_to_json",
     "realization_from_json",
 ]
@@ -100,35 +97,6 @@ def sample_ppp(config: PppConfig, rng: np.random.Generator) -> NetworkRealizatio
     if n:
         np.maximum(distances, np.finfo(float).tiny, out=distances)
     return NetworkRealization(distances, config.typical_distance_r0)
-
-
-class InterferenceMean(NamedTuple):
-    value: float
-    divergent: bool
-
-
-def expected_interference_mean(
-    config: PppConfig, alpha: float, r_min: float = 1e-3
-) -> InterferenceMean:
-    """Campbell mean of the raw path-loss sum over the window, 2*pi*lambda*Int z^(1-alpha) dz.
-
-    A window-adequacy diagnostic: `divergent` is set when the integral keeps
-    growing with the window (alpha <= 2; logarithmic exactly at alpha = 2).
-    For alpha >= 2 the value is regularized with the inner cutoff `r_min`.
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    if not 0.0 < r_min < config.window_radius_R:
-        raise ValueError("r_min must lie in (0, window_radius_R)")
-    lam = config.intensity_lambda
-    R = config.window_radius_R
-    if lam == 0.0:
-        return InterferenceMean(0.0, False)
-    if alpha == 2.0:
-        return InterferenceMean(2.0 * math.pi * lam * math.log(R / r_min), True)
-    lower = r_min if alpha > 2.0 else 0.0
-    integral = (R ** (2.0 - alpha) - lower ** (2.0 - alpha)) / (2.0 - alpha)
-    return InterferenceMean(2.0 * math.pi * lam * integral, alpha < 2.0)
 
 
 def realization_to_json(config: PppConfig, realization: NetworkRealization) -> str:

@@ -1,12 +1,15 @@
 """Experiment orchestration: controllability sweeps, analytic-vs-empirical
 comparison and regret studies.
 
-Simulation is acknowledgment-level by default: per block the geometry, ALOHA
-activity and per-slot Rayleigh fading are drawn and the SINR threshold test
-produces the success sequence; the plant state recursion cannot influence the
-successes, so restless (consecutive) and rested (total) controllability flags
-are computed directly from the sequences. A state-level mode drives the full
-controller/actuator loops for validation.
+Simulation is acknowledgment-level by default. Per block the geometry is
+drawn and `channel.block_success_prob` gives the typical link's per-slot
+success probability p (drawing the interferers' block activity under block
+ALOHA); given those draws the slot successes are i.i.d. Bernoulli(p), gated by
+the typical pair's own access draws, so no fading is simulated. The plant
+state recursion cannot influence the successes, so restless (consecutive)
+and rested (total) controllability flags are computed directly from the
+sequences. A state-level mode drives the full controller/actuator loops, with
+the same Bernoulli(p) slot oracle, for validation.
 
 Determinism: work is split into fixed-size chunks, each with its own child
 seed sequence; results reduce in chunk order, so outputs are byte-identical
@@ -26,12 +29,8 @@ import numpy as np
 from . import analytics
 from .aloha import Protocol
 from .bandit import regret_envelope_explicit, run_ts
-from .channel import (
-    ChannelParams,
-    cond_success_prob_block,
-    cond_success_prob_classical,
-)
-from .control import LtiSystem, run_block_rested, run_block_restless
+from .channel import ChannelParams, block_success_prob
+from .control import LtiSystem, longest_runs, run_block_rested, run_block_restless
 from .geometry import NetworkRealization, PppConfig, sample_ppp
 
 __all__ = [
@@ -133,9 +132,7 @@ class CompareRow:
 class RegretStudyResult:
     mean_cumulative: np.ndarray
     envelope: np.ndarray
-    sublinearity_ratio: float
     num_runs: int
-    oracle_arm_histogram: dict[int, int]
 
 
 def window_quadrature(ppp: PppConfig, **kwargs) -> analytics.QuadratureSpec:
@@ -144,18 +141,15 @@ def window_quadrature(ppp: PppConfig, **kwargs) -> analytics.QuadratureSpec:
     return analytics.QuadratureSpec(outer_limit=ppp.window_radius_R, **kwargs)
 
 
-def _longest_runs(acks: np.ndarray) -> np.ndarray:
-    runs = np.zeros(acks.shape[0], dtype=np.int64)
-    best = np.zeros(acks.shape[0], dtype=np.int64)
-    for t in range(acks.shape[1]):
-        runs = (runs + 1) * acks[:, t]
-        np.maximum(best, runs, out=best)
-    return best
-
-
-def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    cs = np.concatenate(([0.0], np.cumsum(values)))
-    return cs[starts[1:]] - cs[starts[:-1]]
+def _block_geometry(ppp: PppConfig, n_blocks: int, rng: np.random.Generator,
+                    realization: Optional[NetworkRealization] = None):
+    """Interferer distances of n_blocks blocks, concatenated, and per-block
+    counts: fresh Poisson geometries, or `realization` repeated."""
+    if realization is not None:
+        counts = np.full(n_blocks, realization.num_interferers)
+        return np.tile(realization.interferer_distances, n_blocks), counts
+    counts = rng.poisson(ppp.mean_count, n_blocks)
+    return ppp.window_radius_R * np.sqrt(rng.random(int(counts.sum()))), counts
 
 
 def _acks_chunk(
@@ -169,62 +163,11 @@ def _acks_chunk(
     realization: Optional[NetworkRealization] = None,
 ) -> np.ndarray:
     """Success sequences for a chunk of blocks, shape (n_blocks, T)."""
-    gamma = channel.sinr_threshold_gamma
-    sig = float(channel.rx_power_coeff(ppp.typical_distance_r0))
-    N0 = channel.noise_power_N0
-
-    if realization is not None:
-        n = realization.num_interferers
-        w = channel.rx_power_coeff(realization.interferer_distances) if n else np.empty(0)
-        interference = np.zeros((n_blocks, T))
-        if protocol is Protocol.BLOCK:
-            typ = rng.random(n_blocks) < q
-            if n:
-                act = (rng.random((n_blocks, n)) < q) * w
-                for t in range(T):
-                    interference[:, t] = np.einsum(
-                        "bn,bn->b", act, rng.exponential(1.0, (n_blocks, n))
-                    )
-            typical_tx = np.repeat(typ[:, None], T, axis=1)
-        else:
-            typical_tx = rng.random((n_blocks, T)) < q
-            if n:
-                for t in range(T):
-                    act = (rng.random((n_blocks, n)) < q) * w
-                    interference[:, t] = np.einsum(
-                        "bn,bn->b", act, rng.exponential(1.0, (n_blocks, n))
-                    )
-    else:
-        counts = rng.poisson(ppp.mean_count, n_blocks)
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        tot = int(starts[-1])
-        radii = ppp.window_radius_R * np.sqrt(rng.random(tot))
-        w = channel.rx_power_coeff(radii) if tot else np.empty(0)
-        interference = np.zeros((n_blocks, T))
-        if protocol is Protocol.BLOCK:
-            typ = rng.random(n_blocks) < q
-            wa = w * (rng.random(tot) < q)
-            for t in range(T):
-                interference[:, t] = _segment_sums(
-                    wa * rng.exponential(1.0, tot), starts
-                )
-            typical_tx = np.repeat(typ[:, None], T, axis=1)
-        else:
-            typical_tx = rng.random((n_blocks, T)) < q
-            for t in range(T):
-                wa = w * (rng.random(tot) < q)
-                interference[:, t] = _segment_sums(
-                    wa * rng.exponential(1.0, tot), starts
-                )
-
-    h0 = rng.exponential(1.0, (n_blocks, T))
-    with np.errstate(divide="ignore"):  # noiseless empty-interference slots: inf SINR
-        sinr = sig * h0 / (N0 + interference)
-    return (typical_tx & (sinr > gamma)).astype(np.uint8)
-
-
-def _chunk_seeds(root: np.random.SeedSequence, n_chunks: int):
-    return root.spawn(n_chunks)
+    distances, counts = _block_geometry(ppp, n_blocks, rng, realization)
+    p = block_success_prob(distances, counts, ppp.typical_distance_r0, channel,
+                           protocol, q, rng)
+    access = rng.random((n_blocks, 1 if protocol is Protocol.BLOCK else T)) < q
+    return (rng.random((n_blocks, T)) < access * p[:, None]).astype(np.uint8)
 
 
 def simulate_ack_blocks(
@@ -241,7 +184,7 @@ def simulate_ack_blocks(
     """Deterministic chunked simulation of n_blocks success sequences."""
     protocol = Protocol(protocol)
     n_chunks = (n_blocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
-    seeds = _chunk_seeds(seed_seq, n_chunks)
+    seeds = seed_seq.spawn(n_chunks)
     sizes = [min(CHUNK_BLOCKS, n_blocks - i * CHUNK_BLOCKS) for i in range(n_chunks)]
 
     def work(i):
@@ -292,7 +235,7 @@ def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult
                     realization=fixed, threads=config.threads,
                 )
                 n = acks.shape[0]
-                restless = _longest_runs(acks) >= config.v
+                restless = longest_runs(acks) >= config.v
                 rested = acks.sum(axis=1) >= config.v
                 flags = {"restless": restless, "rested": rested}
                 for system in config.systems:
@@ -321,27 +264,16 @@ def _state_level_flags(config, protocol, q, seed_seq):
     out = {"restless": np.zeros(config.num_realizations, bool),
            "rested": np.zeros(config.num_realizations, bool)}
     for b in range(config.num_realizations):
-        realization = sample_ppp(config.ppp, rng)
-        n = realization.num_interferers
-        if protocol is Protocol.BLOCK:
-            typical = int(rng.random() < q)
-            access = np.full(config.T, typical, dtype=np.uint8)
-            active = rng.random(n) < q
-            active_slots = [np.flatnonzero(active)] * config.T
-        else:
-            access = (rng.random(config.T) < q).astype(np.uint8)
-            active_slots = [np.flatnonzero(rng.random(n) < q) for _ in range(config.T)]
-
-        w = config.channel.rx_power_coeff(realization.interferer_distances) if n else np.empty(0)
-        sig = float(config.channel.rx_power_coeff(config.ppp.typical_distance_r0))
+        real = sample_ppp(config.ppp, rng)
+        p = float(block_success_prob(
+            real.interferer_distances, [real.num_interferers], real.typical_distance_r0,
+            config.channel, protocol, q, rng,
+        )[0])
+        slots = 1 if protocol is Protocol.BLOCK else config.T
+        access = np.broadcast_to(rng.random(slots) < q, config.T).astype(np.uint8)
 
         def oracle(t):
-            idx = active_slots[t]
-            interference = float(
-                np.dot(w[idx], rng.exponential(1.0, idx.size))
-            ) if idx.size else 0.0
-            sinr = sig * rng.exponential(1.0) / (config.channel.noise_power_N0 + interference)
-            return int(sinr > config.channel.sinr_threshold_gamma)
+            return int(rng.random() < p)
 
         x0 = sys.x_des + rng.normal(0.0, 1.0, sys.n)
         if "restless" in config.systems:
@@ -400,22 +332,17 @@ def estimate_meta_empirical(
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     hits = 0
     n = config.num_realizations
-    for _ in range(n):
-        realization = sample_ppp(config.ppp, rng)
-        if protocol is Protocol.BLOCK:
-            active = np.flatnonzero(
-                rng.random(realization.num_interferers) < q
-            )
-            p = cond_success_prob_block(realization, active, config.channel)
-        else:
-            p = cond_success_prob_classical(realization, q, config.channel)
-        hits += p >= pstar
+    for first in range(0, n, CHUNK_BLOCKS):
+        distances, counts = _block_geometry(config.ppp, min(CHUNK_BLOCKS, n - first), rng)
+        p = block_success_prob(distances, counts, config.ppp.typical_distance_r0,
+                               config.channel, protocol, q, rng)
+        hits += int(np.count_nonzero(p >= pstar))
     return hits / n
 
 
 def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
     """Mean cumulative TS regret over independent realizations, with the
-    explicit envelope and the R(2K)/R(K) sub-linearity ratio."""
+    explicit envelope."""
     if config.mode is not Mode.REGRET_STUDY and config.mode is not Mode.TS_RUN:
         raise ValueError("run_regret_study expects a regret/ts mode config")
     protocol = config.protocols[0]
@@ -431,7 +358,7 @@ def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
             realization, config.arms, protocol, config.channel, config.T, K, rng,
             snapshot_every=0,
         )
-        return trace.cumulative, trace.oracle_arm_index
+        return trace.cumulative
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -439,11 +366,6 @@ def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
     else:
         outputs = [one_run(i) for i in range(config.num_realizations)]
 
-    curves = np.stack([c for c, _ in outputs])
-    mean_curve = curves.mean(axis=0)
+    mean_curve = np.stack(outputs).mean(axis=0)
     envelope = np.array([regret_envelope_explicit(k, config.T, D) for k in range(1, K + 1)])
-    ratio = float(mean_curve[-1] / mean_curve[K // 2 - 1]) if K >= 2 and mean_curve[K // 2 - 1] > 0 else 0.0
-    histogram: dict[int, int] = {}
-    for _, idx in outputs:
-        histogram[idx] = histogram.get(idx, 0) + 1
-    return RegretStudyResult(mean_curve, envelope, ratio, config.num_realizations, histogram)
+    return RegretStudyResult(mean_curve, envelope, config.num_realizations)

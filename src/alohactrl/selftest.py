@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import analytics, bandit, channel, control, geometry, montecarlo
-from .aloha import Protocol, draw_access_block, draw_access_classical
+from .aloha import Protocol
 
 CHECKS = []
 
@@ -72,11 +72,13 @@ def binomial_tail_direct():
 
 
 @check
-def sinr_hand_case():
+def success_prob_hand_case():
+    # one interferer at 20 m, r0 = 10, alpha = 2, gamma = 1, N0 = 0:
+    # p = 1 / (1 + (20/10)^-2) = 0.8 under block (all active) and classical q = 1
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
-    real = geometry.NetworkRealization(np.array([20.0]), 10.0)
-    sinr = channel.compute_sinr(real, [0], 1.0, [1.0], params)
-    assert abs(sinr - 4.0) < 1e-12
+    for protocol in Protocol:
+        p = channel.block_success_prob([20.0], [1], 10.0, params, protocol, 1.0, _rng(0))
+        assert abs(p[0] - 0.8) < 1e-12, (protocol, p)
 
 
 @check
@@ -155,6 +157,7 @@ def run_detectors_vs_scan():
         for s in acks:
             run = run + 1 if s else 0
             best = max(best, run)
+        assert control.longest_runs(acks)[0] == best
         assert control.is_block_controllable_restless(acks, v) == (best >= v)
         assert control.is_block_controllable_rested(acks, v) == (acks.sum() >= v)
         if control.is_block_controllable_restless(acks, v):
@@ -173,10 +176,14 @@ def ppp_trivial_cases():
 
 
 @check
-def aloha_trivial_cases():
-    assert not draw_access_block(0.0, 50, _rng(3)).any()
-    assert draw_access_block(1.0, 50, _rng(3)).all()
-    assert not draw_access_classical(0.0, 10, 5, _rng(3)).any()
+def no_acks_at_q_zero():
+    ppp = geometry.PppConfig(5e-3, 100.0, 10.0)
+    for protocol in Protocol:
+        acks = montecarlo.simulate_ack_blocks(
+            ppp, channel.default_channel(), protocol, 0.0, 10, 500,
+            np.random.SeedSequence(3),
+        )
+        assert not acks.any(), protocol
 
 
 @check
@@ -208,7 +215,6 @@ def oracle_arm_dense_dummy():
 
 @check
 def envelope_arithmetic():
-    assert abs(bandit.regret_envelope(2, 1, 1, 1.0) - math.sqrt(2 * math.log(2))) < 1e-12
     want = math.sqrt(64 * 5000 * 10 * math.log(5000)) + 4 * 20 * 10
     assert abs(bandit.regret_envelope_explicit(5000, 20, 10) - want) < 1e-9
 

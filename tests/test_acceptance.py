@@ -32,13 +32,13 @@ from alohactrl.control import (
     LtiSystem,
     is_block_controllable_rested,
     is_block_controllable_restless,
+    longest_runs,
     run_block_rested,
     run_block_restless,
 )
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
-    _longest_runs,
     estimate_block_controllability,
     estimate_meta_empirical,
     run_regret_study,
@@ -217,7 +217,7 @@ def test_c4_restless_probability_end_to_end():
     for protocol in (Protocol.BLOCK, Protocol.CLASSICAL):
         for q in qs:
             acks = simulate_ack_blocks(ppp, params, protocol, q, T, n_blocks, seeds[i])
-            emp = float(np.mean(_longest_runs(acks) >= v))
+            emp = float(np.mean(longest_runs(acks) >= v))
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / n_blocks)
             analytic = prob_block_controllable_restless(
                 T, v, q, lam, params, quad, protocol, r0=r0

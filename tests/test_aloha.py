@@ -1,92 +1,94 @@
+"""Channel access as the simulator draws it.
+
+With no interferers and no noise every transmission succeeds, so the
+simulated acknowledgments are exactly the typical pair's access pattern.
+Interferer activity is drawn by `channel.block_success_prob`.
+"""
+
 import math
 
 import numpy as np
-import pytest
 
-from alohactrl.aloha import AlohaPolicy, Protocol, draw_access_block, draw_access_classical
+from alohactrl.aloha import Protocol
+from alohactrl.channel import ChannelParams, block_success_prob
+from alohactrl.geometry import PppConfig, sample_ppp
+from alohactrl.montecarlo import simulate_ack_blocks
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-class TestPolicy:
-    def test_validation(self):
-        AlohaPolicy(Protocol.BLOCK, 0.5, (0.1, 0.5, 1.0))
-        with pytest.raises(ValueError):
-            AlohaPolicy(Protocol.BLOCK, 1.5)
-        with pytest.raises(ValueError):
-            AlohaPolicy(Protocol.BLOCK, 0.5, (0.5, 0.4))
-        with pytest.raises(ValueError):
-            AlohaPolicy(Protocol.CLASSICAL, 0.5, (0.0, 0.5))
+def access(protocol, q, n_blocks, T, seed):
+    """Per-slot access of the typical pair over n_blocks blocks, shape (n_blocks, T)."""
+    return simulate_ack_blocks(
+        PppConfig(0.0, 100.0, 10.0), ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0),
+        protocol, q, T, n_blocks, np.random.SeedSequence(seed),
+    )
 
+
+class TestPolicy:
     def test_string_protocol_coerced(self):
-        assert AlohaPolicy("classical", 0.3).protocol is Protocol.CLASSICAL
+        assert Protocol("classical") is Protocol.CLASSICAL
 
 
 class TestBlockAccess:
     def test_extremes(self):
-        assert not draw_access_block(0.0, 100, rng(1)).any()
-        assert draw_access_block(1.0, 100, rng(1)).all()
+        assert not access(Protocol.BLOCK, 0.0, 100, 10, 1).any()
+        assert access(Protocol.BLOCK, 1.0, 100, 10, 1).all()
 
     def test_binomial_ci(self):
         q, n = 0.3, 100_000
-        frac = draw_access_block(q, n, rng(2)).mean()
+        frac = access(Protocol.BLOCK, q, n, 1, 2).mean()
         assert abs(frac - q) < 3 * math.sqrt(q * (1 - q) / n)
 
 
 class TestClassicalAccess:
     def test_extremes(self):
-        assert not draw_access_classical(0.0, 20, 10, rng(3)).any()
-        assert draw_access_classical(1.0, 20, 10, rng(3)).all()
+        assert not access(Protocol.CLASSICAL, 0.0, 20, 10, 3).any()
+        assert access(Protocol.CLASSICAL, 1.0, 20, 10, 3).all()
 
     def test_shape(self):
-        out = draw_access_classical(0.5, 7, 13, rng(4))
+        out = access(Protocol.CLASSICAL, 0.5, 7, 13, 4)
         assert out.shape == (7, 13)
 
     def test_slots_uncorrelated(self):
-        # per-slot active fractions over many draws: adjacent-slot correlation
+        # adjacent-slot correlation of the access indicators over many blocks
         # indistinguishable from zero at the 0.01 level
-        q, nodes, T, reps = 0.4, 50, 8, 10_000
-        g = rng(5)
-        fracs = np.empty((reps, T))
-        for i in range(reps):
-            fracs[i] = draw_access_classical(q, nodes, T, g).mean(axis=0)
-        corr = np.corrcoef(fracs[:, 0], fracs[:, 1])[0, 1]
+        reps = 10_000
+        slots = access(Protocol.CLASSICAL, 0.4, reps, 8, 5)
+        corr = np.corrcoef(slots[:, 0], slots[:, 1])[0, 1]
         # under independence, corr ~ N(0, 1/sqrt(reps)); 0.01 level two-sided
         assert abs(corr) < 2.576 / math.sqrt(reps)
 
     def test_block_constant_classical_varies(self):
-        g = rng(6)
-        block = draw_access_block(0.5, 200, g)
-        # block state applies to every slot by construction (single vector);
-        # classical redraws per slot
-        cls = draw_access_classical(0.5, 200, 20, g)
-        assert block.ndim == 1
+        block = access(Protocol.BLOCK, 0.5, 200, 20, 6)
+        cls = access(Protocol.CLASSICAL, 0.5, 200, 20, 6)
+        assert np.all(block.min(axis=1) == block.max(axis=1))
         assert np.any(cls.min(axis=1) != cls.max(axis=1))
 
 
 class TestThinningConsistency:
     def test_active_counts_poisson(self):
-        # active interferers under block ALOHA form a Poisson(q * mean) count
+        # active interferers under block ALOHA form a Poisson(q * mean) count.
+        # Every interferer sits at the typical distance with no noise, so each
+        # active one halves the kernel's value: count = -log2(p).
         from scipy import stats
-
-        from alohactrl.geometry import PppConfig, sample_ppp
 
         cfg = PppConfig(2e-3, 50.0, 10.0)  # mean ~15.7
         q = 0.4
         g = rng(7)
-        counts = np.empty(10_000, dtype=int)
-        for i in range(counts.size):
-            real = sample_ppp(cfg, g)
-            counts[i] = int(draw_access_block(q, real.num_interferers, g).sum())
+        counts = np.array([sample_ppp(cfg, g).num_interferers for _ in range(10_000)])
+        p = block_success_prob(np.full(counts.sum(), 10.0), counts, 10.0,
+                               ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0), Protocol.BLOCK, q, g)
+        active = np.rint(-np.log2(p)).astype(int)
         mu = q * cfg.mean_count
         lo, hi = 2, 13
-        observed = [np.sum(counts <= lo)] + [np.sum(counts == k) for k in range(lo + 1, hi)] \
-            + [np.sum(counts >= hi)]
+        observed = [np.sum(active <= lo)] + [np.sum(active == k) for k in range(lo + 1, hi)] \
+            + [np.sum(active >= hi)]
         pmf = stats.poisson(mu)
         expected = np.array(
             [pmf.cdf(lo)] + [pmf.pmf(k) for k in range(lo + 1, hi)] + [1 - pmf.cdf(hi - 1)]
-        ) * counts.size
+        ) * active.size
         chi2 = float(np.sum((np.array(observed) - expected) ** 2 / expected))
         assert chi2 < stats.chi2(df=len(expected) - 1).ppf(0.99)

@@ -10,12 +10,10 @@ from alohactrl.bandit import (
     batch_update,
     expected_block_reward,
     oracle_arm,
-    regret_envelope,
     regret_envelope_explicit,
     run_ts,
     sample_beta,
     select_arm,
-    simulate_reward_block,
 )
 from alohactrl.channel import ChannelParams
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
@@ -120,7 +118,7 @@ class TestOracleArm:
 
     def test_reward_matches_simulator_both_protocols(self):
         # validates the per-slot marginal equivalence of block and classical
-        # thinning on a fixed realization
+        # thinning on a fixed realization: a one-arm TS run's block rewards
         params = unit_params()
         g = rng(10)
         real = sample_ppp(PppConfig(5e-4, 150.0, 10.0), g)
@@ -128,10 +126,9 @@ class TestOracleArm:
         for protocol in (Protocol.BLOCK, Protocol.CLASSICAL):
             for q in (0.3, 0.8):
                 want = expected_block_reward(real, q, params, T)
-                rewards = np.array([
-                    simulate_reward_block(real, q, protocol, params, T, g).sum()
-                    for _ in range(n_blocks)
-                ])
+                trace, _ = run_ts(real, [q], protocol, params, T, n_blocks, g,
+                                  snapshot_every=0)
+                rewards = trace.block_rewards
                 se = rewards.std(ddof=1) / math.sqrt(n_blocks)
                 assert abs(rewards.mean() - want) < 2.5 * se, (protocol, q)
 
@@ -158,17 +155,14 @@ class TestRunTs:
         params = unit_params()
         real = sample_ppp(PppConfig(5e-4, 150.0, 10.0), rng(14))
         T, K = 20, 400
-        g = rng(15)
         arms = [0.3, 0.6, 1.0]
-        posteriors = [ArmPosterior(1.0, 1.0) for _ in arms]
-        pulls = [0, 0, 0]
-        for _ in range(K):
-            d = select_arm(posteriors, g)
-            acks = simulate_reward_block(real, arms[d], Protocol.BLOCK, params, T, g)
-            posteriors[d] = batch_update(posteriors[d], int(acks.sum()), T)
-            pulls[d] += 1
+        trace, history = run_ts(real, arms, Protocol.BLOCK, params, T, K, rng(15),
+                                snapshot_every=K)
+        posteriors = history[-1]["posteriors"]
         for d in range(3):
-            assert posteriors[d].a - 1 + posteriors[d].b - 1 == T * pulls[d]
+            a, b = posteriors[d]
+            assert a - 1 + b - 1 == T * trace.arm_pull_counts[d]
+            assert a - 1 == trace.block_rewards[trace.arm_indices == d].sum()
 
     def test_inferior_arm_pulls_sublinear(self):
         # large reward gap: inferior-arm pulls grow slower than linearly
@@ -190,15 +184,12 @@ class TestRunTs:
 
 
 class TestEnvelopes:
-    def test_scaling_envelope_value(self):
-        assert regret_envelope(2, 1, 1, 1.0) == pytest.approx(math.sqrt(2 * math.log(2)))
-
     def test_explicit_envelope_value(self):
         want = math.sqrt(64 * 5000 * 10 * math.log(5000)) + 4 * 20 * 10
         assert regret_envelope_explicit(5000, 20, 10) == pytest.approx(want)
 
     def test_monotone(self):
-        base = regret_envelope(100, 10, 5, 2.0)
-        assert regret_envelope(200, 10, 5, 2.0) > base
-        assert regret_envelope(100, 20, 5, 2.0) > base
-        assert regret_envelope(100, 10, 10, 2.0) > base
+        base = regret_envelope_explicit(100, 10, 5)
+        assert regret_envelope_explicit(200, 10, 5) > base
+        assert regret_envelope_explicit(100, 20, 5) > base
+        assert regret_envelope_explicit(100, 10, 10) > base

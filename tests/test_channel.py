@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from alohactrl.aloha import Protocol
 from alohactrl.channel import (
     ChannelParams,
-    DegenerateInputError,
-    compute_sinr,
+    block_success_prob,
     cond_success_prob_block,
     cond_success_prob_classical,
     dbm_to_watts,
     default_channel,
     freespace_pathloss_const,
-    run_slot,
-    sample_fading_power,
-    success_event,
     thermal_noise_watts,
 )
 from alohactrl.geometry import NetworkRealization
@@ -54,59 +51,25 @@ class TestUnits:
             ChannelParams(0.0, 1.0, 2.0, 0.0, 1.0)
 
 
-class TestFading:
-    def test_mean_one(self):
-        draws = sample_fading_power(rng(1), 1_000_000)
-        assert 0.997 < draws.mean() < 1.003
-
-    def test_median_ln2(self):
-        draws = sample_fading_power(rng(2), 1_000_000)
-        assert abs(np.median(draws) - math.log(2.0)) < 0.005
-
-    def test_support(self):
-        draws = sample_fading_power(rng(3), 100_000)
-        assert (draws >= 0).all()
-
-
 class TestSinr:
+    """The SINR law as the success probability P(SINR > gamma) it implies."""
+
     def test_no_interference_definition(self):
+        # no interferers: P(eta rho r0^-a h > gamma N0) = exp(-gamma N0 / (eta rho r0^-a))
         params = ChannelParams(1.0, 1.0, 2.0, 1.0 * 1.0 * 10.0 ** -2.0, 1.0)
-        real = NetworkRealization(np.empty(0), 10.0)
-        assert compute_sinr(real, [], 1.0, [], params) == pytest.approx(1.0)
+        p = block_success_prob([], [0], 10.0, params, Protocol.BLOCK, 1.0, rng())
+        assert p[0] == pytest.approx(math.exp(-1.0))
 
     def test_symmetry(self):
-        params = unit_params()
-        real = NetworkRealization(np.array([10.0]), 10.0)
-        assert compute_sinr(real, [0], 0.7, [0.7], params) == pytest.approx(1.0)
+        # interferer at the typical distance, no noise: P(h0 > h1) = 1/2
+        p = block_success_prob([10.0], [1], 10.0, unit_params(), Protocol.BLOCK, 1.0, rng())
+        assert p[0] == pytest.approx(0.5)
 
     def test_hand_arithmetic(self):
-        # r0=10, r1=20, alpha=2, unit fading, no noise -> 10^-2 / 20^-2 = 4
-        params = unit_params()
-        real = NetworkRealization(np.array([20.0]), 10.0)
-        assert compute_sinr(real, [0], 1.0, [1.0], params) == pytest.approx(4.0)
-
-    def test_degenerate_rejected(self):
-        params = unit_params(N0=0.0)
-        real = NetworkRealization(np.empty(0), 10.0)
-        with pytest.raises(DegenerateInputError):
-            compute_sinr(real, [], 0.0, [], params)
-
-    def test_fading_count_mismatch(self):
-        params = unit_params()
-        real = NetworkRealization(np.array([20.0, 30.0]), 10.0)
-        with pytest.raises(ValueError):
-            compute_sinr(real, [0, 1], 1.0, [1.0], params)
-
-
-class TestSuccessEvent:
-    def test_active_above(self):
-        assert success_event(2.0, True, 1.0) == 1
-
-    def test_inactive(self):
-        assert success_event(100.0, False, 1.0) == 0
-
-    def test_tie_is_failure(self):
-        assert success_event(1.0, True, 1.0) == 0
+        # r0=10, r1=20, alpha=2, no noise: 1 / (1 + (20/10)^-2) = 0.8
+        for protocol in Protocol:
+            p = block_success_prob([20.0], [1], 10.0, unit_params(), protocol, 1.0, rng())
+            assert p[0] == pytest.approx(0.8, abs=1e-12)
 
 
 class TestConditionalSuccessBlock:
@@ -180,18 +143,62 @@ class TestConditionalSuccessClassical:
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
-class TestRunSlot:
-    def test_idle_slot(self):
-        out = run_slot(NetworkRealization(np.empty(0), 10.0), [], False, unit_params(), rng(1))
-        assert out.success_S == 0 and not out.typical_active and math.isnan(out.sinr)
+def segmented_geometry(g, n_blocks=400):
+    """Random per-block interferer counts (every seventh block empty) and
+    distances between 3 and 200 m, concatenated block by block."""
+    counts = g.poisson(5.0, n_blocks)
+    counts[::7] = 0
+    distances = 3.0 + 197.0 * g.random(int(counts.sum()))
+    return distances, counts
 
-    def test_success_rate_matches_conditional(self):
-        params = unit_params()
-        real = NetworkRealization(np.array([14.0, 35.0]), 10.0)
-        want = cond_success_prob_block(real, [0, 1], params)
-        g = rng(21)
-        n = 200_000
-        wins = sum(run_slot(real, [0, 1], True, params, g).success_S for _ in range(n))
-        emp = wins / n
-        se = math.sqrt(want * (1 - want) / n)
-        assert abs(emp - want) < 3.5 * se
+
+def segments(distances, counts):
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    return [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+
+
+class TestBlockSuccessProb:
+    # noisy, so a kernel that drops the noise factor is caught
+    params = ChannelParams(1.0, 1.0, 2.0, 2e-3, 1.5)
+
+    def check_block(self, distances, counts, q, seed):
+        p = block_success_prob(distances, counts, 10.0, self.params, Protocol.BLOCK, q, rng(seed))
+        # replay the kernel's activity draw: one uniform per interferer, in order
+        active = rng(seed).random(distances.size) < q
+        assert p.shape == (len(counts),)
+        for b, seg in enumerate(segments(distances, counts)):
+            real = NetworkRealization(distances[seg], 10.0)
+            want = cond_success_prob_block(real, np.flatnonzero(active[seg]), self.params)
+            assert abs(p[b] - want) <= 1e-12, (b, p[b], want)
+
+    def check_classical(self, distances, counts, q):
+        p = block_success_prob(distances, counts, 10.0, self.params, Protocol.CLASSICAL, q, rng())
+        assert p.shape == (len(counts),)
+        for b, seg in enumerate(segments(distances, counts)):
+            want = cond_success_prob_classical(
+                NetworkRealization(distances[seg], 10.0), q, self.params
+            )
+            assert abs(p[b] - want) <= 1e-12, (b, p[b], want)
+
+    def test_block_matches_cond_success_prob_block(self):
+        distances, counts = segmented_geometry(rng(31))
+        for q in (0.0, 0.4, 1.0):
+            self.check_block(distances, counts, q, seed=32)
+
+    def test_classical_matches_cond_success_prob_classical(self):
+        distances, counts = segmented_geometry(rng(33))
+        for q in (0.0, 0.3, 1.0):
+            self.check_classical(distances, counts, q)
+
+    def test_fixed_geometry_segments(self):
+        # one realization repeated as segments, as the fixed-geometry simulator
+        # feeds it; an empty realization gives the noise factor alone
+        real = NetworkRealization(np.array([12.0, 30.0, 55.0, 140.0]), 10.0)
+        n_blocks = 50
+        tiled = np.tile(real.interferer_distances, n_blocks)
+        counts = np.full(n_blocks, real.num_interferers)
+        self.check_block(tiled, counts, 0.5, seed=34)
+        self.check_classical(tiled, counts, 0.5)
+        for protocol in Protocol:
+            p = block_success_prob([], np.zeros(3, int), 10.0, self.params, protocol, 0.5, rng())
+            assert np.all(p == self.params.noise_success_factor(10.0))

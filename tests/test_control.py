@@ -10,11 +10,11 @@ from alohactrl.control import (
     holding_input,
     is_block_controllable_rested,
     is_block_controllable_restless,
+    longest_runs,
     minimal_poly_degree,
     propagate,
     run_block_rested,
     run_block_restless,
-    update_estimate,
 )
 from alohactrl.montecarlo import default_system_for
 
@@ -101,7 +101,7 @@ class TestDesignInputs:
             plan = design_inputs(sys, sys.x_des)
             x_hat = sys.x_des.copy()
             for u in plan:
-                x_hat = update_estimate(sys, x_hat, u, 1)
+                x_hat = sys.A @ x_hat + sys.B @ u
             assert np.allclose(x_hat, sys.x_des, atol=1e-8)
 
     def test_two_step_linear_solve(self):
@@ -170,31 +170,6 @@ class TestPropagateAndEstimate:
         want = sys.A @ x + sys.B @ u
         assert np.all(np.abs(acc / n - want) < 3 * 0.1 / math.sqrt(n))
 
-    def test_estimate_trivial_updates(self):
-        sys = LtiSystem(np.eye(2), np.eye(2), [0.0, 0.0])
-        xh = np.array([1.0, 2.0])
-        assert np.allclose(update_estimate(sys, xh, [5.0, 5.0], 0), xh)
-        assert np.allclose(update_estimate(sys, xh, [5.0, 5.0], 1), xh + 5.0)
-
-    def test_estimate_closed_form(self):
-        # iterating the one-step update reproduces
-        # A^t xh0 + sum A^(t-tau-1) S(tau) B u(tau)
-        g = rng(6)
-        sys, _ = random_range_compatible_system(g, n_max=3, m_max=3)
-        T = 7
-        xh = g.normal(size=sys.n)
-        inputs = g.normal(size=(T, sys.m))
-        acks = (g.random(T) < 0.5).astype(int)
-        stepped = xh.copy()
-        for t in range(T):
-            stepped = update_estimate(sys, stepped, inputs[t], acks[t])
-        closed = np.linalg.matrix_power(sys.A, T) @ xh
-        for tau in range(T):
-            closed = closed + np.linalg.matrix_power(sys.A, T - tau - 1) @ (
-                acks[tau] * sys.B @ inputs[tau]
-            )
-        assert np.allclose(stepped, closed, atol=1e-9)
-
 
 class TestControllabilityFlags:
     def test_simple_cases(self):
@@ -214,6 +189,7 @@ class TestControllabilityFlags:
             runs = (runs + 1) * acks[:, t]
             np.maximum(best, runs, out=best)
         totals = acks.sum(axis=1)
+        assert np.array_equal(longest_runs(acks), best)
         for i in range(0, 100_000, 997):  # spot-check the scalar ops
             assert is_block_controllable_restless(acks[i], int(vs[i])) == (best[i] >= vs[i])
             assert is_block_controllable_rested(acks[i], int(vs[i])) == (totals[i] >= vs[i])

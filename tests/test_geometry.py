@@ -6,11 +6,9 @@ import pytest
 from scipy import stats
 
 from alohactrl.geometry import (
-    InterferenceMean,
     NetworkRealization,
     PppConfig,
     default_window_radius,
-    expected_interference_mean,
     realization_from_json,
     realization_to_json,
     sample_ppp,
@@ -92,46 +90,6 @@ class TestSamplePpp:
         a = sample_ppp(cfg, rng(42))
         b = sample_ppp(cfg, rng(42))
         assert np.array_equal(a.interferer_distances, b.interferer_distances)
-
-
-class TestInterferenceMean:
-    def test_zero_intensity(self):
-        out = expected_interference_mean(PppConfig(0.0, 100.0, 10.0), 4.0)
-        assert out == InterferenceMean(0.0, False)
-
-    def test_alpha_two_flagged_divergent(self):
-        out = expected_interference_mean(PppConfig(1e-4, 100.0, 10.0), 2.0)
-        assert out.divergent
-        want = 2 * math.pi * 1e-4 * math.log(100.0 / 1e-3)
-        assert out.value == pytest.approx(want, rel=1e-12)
-
-    def test_campbell_mean_vs_monte_carlo(self):
-        # alpha=4 diagnostic vs the sampled sum of r^-4; the default r_min=1e-3
-        # cutoff is MC-unverifiable (dominant radii occur w.p. ~3e-8/realization),
-        # so the cross-check runs at r_min=5 m where the estimator converges.
-        # The bound uses the exact Campbell variance 2 pi lam Int r^(1-2a) dr,
-        # not the sample variance, which a heavy tail underestimates.
-        cfg = PppConfig(1e-3, 100.0, 10.0)
-        alpha, r_min = 4.0, 5.0
-        out = expected_interference_mean(cfg, alpha, r_min=r_min)
-        assert not out.divergent
-        R = cfg.window_radius_R
-        var_one = 2 * math.pi * cfg.intensity_lambda * (
-            (r_min ** (2 - 2 * alpha) - R ** (2 - 2 * alpha)) / (2 * alpha - 2)
-        )
-        g = rng(17)
-        n = 20_000
-        samples = np.empty(n)
-        for i in range(n):
-            r = sample_ppp(cfg, g).interferer_distances
-            r = r[r >= r_min]
-            samples[i] = np.sum(r ** -alpha)
-        se = math.sqrt(var_one / n)
-        assert abs(samples.mean() - out.value) < 3 * se
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            expected_interference_mean(PppConfig(1e-4, 100.0, 10.0), 0.0)
 
 
 class TestSerialization:

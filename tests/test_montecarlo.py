@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from alohactrl.aloha import Protocol
-from alohactrl.channel import ChannelParams, default_channel
-from alohactrl.geometry import PppConfig
+from alohactrl.channel import ChannelParams, cond_success_prob_classical, default_channel
+from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
     Mode,
@@ -15,8 +15,9 @@ from alohactrl.montecarlo import (
     estimate_meta_empirical,
     run_regret_study,
     simulate_ack_blocks,
-    _longest_runs,
+    _block_geometry,
 )
+from alohactrl.control import longest_runs
 
 
 def unit_params(alpha=4.0, gamma=1.0, N0=0.0):
@@ -58,6 +59,38 @@ class TestSimulateAckBlocks:
         )
         assert not acks.any()
 
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_q_zero_no_acks(self, protocol, fixed):
+        # an idle typical pair never succeeds, whatever the kernel's value
+        ppp = PppConfig(5e-4, 150.0, 10.0)
+        real = sample_ppp(ppp, np.random.default_rng(2)) if fixed else None
+        acks = simulate_ack_blocks(ppp, default_channel(), protocol, 0.0, 10, 5000,
+                                   np.random.SeedSequence(3), realization=real)
+        assert acks.shape == (5000, 10) and not acks.any()
+
+    def test_fixed_geometry_blocks_repeat_the_realization(self):
+        ppp = PppConfig(5e-4, 150.0, 10.0)
+        real = NetworkRealization(np.array([12.0, 30.0, 55.0]), 10.0)
+        distances, counts = _block_geometry(ppp, 4, np.random.default_rng(0), real)
+        assert list(counts) == [3, 3, 3, 3]
+        assert np.array_equal(distances, np.tile(real.interferer_distances, 4))
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_fixed_geometry_success_rate(self, protocol):
+        # per-slot marginal on a fixed realization is q * P_cls(q) under both
+        # protocols; slots are i.i.d. given the geometry for classical ALOHA,
+        # and blocks are independent, so block totals give the standard error
+        params = unit_params(alpha=2.0)
+        real = NetworkRealization(np.array([11.0, 16.0, 35.0, 60.0]), 10.0)
+        q, T, n_blocks = 0.7, 10, 40_000
+        acks = simulate_ack_blocks(PppConfig(5e-4, 150.0, 10.0), params, protocol, q, T,
+                                   n_blocks, np.random.SeedSequence(8), realization=real)
+        totals = acks.sum(axis=1)
+        want = T * q * cond_success_prob_classical(real, q, params)
+        se = totals.std(ddof=1) / math.sqrt(n_blocks)
+        assert abs(totals.mean() - want) < 3 * se
+
     def test_reproducible_across_threads(self):
         args = (PppConfig(5e-3, 100.0, 10.0), default_channel(), Protocol.CLASSICAL,
                 0.6, 12, 9000)
@@ -67,7 +100,7 @@ class TestSimulateAckBlocks:
 
     def test_longest_run_helper(self):
         acks = np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
-        assert list(_longest_runs(acks)) == [2, 0, 4]
+        assert list(longest_runs(acks)) == [2, 0, 4]
 
     def test_success_rate_matches_conditional_marginal(self):
         # per-slot marginal success probability is q * E[P_cls]
