@@ -22,7 +22,7 @@ print(f"fixed realization with {realization.num_interferers} interferers, "
       f"arms {list(config.arms)}")
 
 trace, history = run_ts(
-    realization, config.arms, Protocol.BLOCK, config.channel,
+    [realization], config.arms, Protocol.BLOCK, config.channel,
     config.T, config.K, rng,
 )
 
@@ -30,12 +30,12 @@ mu = [expected_block_reward(realization, a, config.channel, config.T)
       for a in config.arms]
 print("\narm   q    E[block reward]   pulls")
 for d, a in enumerate(config.arms):
-    star = " <- oracle" if d == trace.oracle_arm_index else ""
-    print(f"{d:3d}  {a:.1f}     {mu[d]:7.3f}       {trace.arm_pull_counts[d]:5d}{star}")
+    star = " <- oracle" if d == trace.oracle_arm_index[0] else ""
+    print(f"{d:3d}  {a:.1f}     {mu[d]:7.3f}       {trace.arm_pull_counts[0, d]:5d}{star}")
 
-modal = int(np.bincount(trace.arm_indices[1000:], minlength=len(config.arms)).argmax())
+modal = int(np.bincount(trace.arm_indices[0, 1000:], minlength=len(config.arms)).argmax())
 print(f"\nmodal arm over the final {config.K - 1000} blocks: q={config.arms[modal]}")
 for k in (100, 1000, config.K):
     env = regret_envelope_explicit(k, config.T, len(config.arms))
-    print(f"cumulative regret at K={k:5d}: {trace.cumulative[k - 1]:8.1f} "
+    print(f"cumulative regret at K={k:5d}: {trace.cumulative[0, k - 1]:8.1f} "
           f"(envelope {env:.0f})")

@@ -22,7 +22,6 @@ from .analytics import (
     run_ccdf_demoivre,
 )
 from .bandit import (
-    ArmPosterior,
     RegretTrace,
     batch_update,
     oracle_arm,

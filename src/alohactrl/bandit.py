@@ -7,16 +7,24 @@ block and batch-updates the pulled arm. The per-block expected reward of arm
 q on a fixed network realization is T * q * P_cls(q) (per-slot marginal
 success probability, identical under block and classical thinning).
 
+`run_ts` is the one TS loop. It runs R decision makers, one per fixed
+realization, in lockstep: the posteriors are (R, D) arrays, and each of the
+K steps makes one Beta draw per (realization, arm), takes the argmax along
+the arm axis, draws every realization's block reward and updates the pulled
+arms by fancy indexing. A single run is the case R = 1.
+
 A block's acknowledgment count is drawn as one Binomial(T, p): given the
 realization the slot successes are i.i.d. Bernoulli(p), with p = q P_cls(q)
 under classical ALOHA and, under block ALOHA, p = P_blk of the block's drawn
-active set when the typical pair transmits (0 when it is idle).
+active set when the typical pair transmits (0 when it is idle). Under block
+ALOHA one `block_success_prob` call per step covers the interferers of all R
+realizations, each block with its own pulled arm as q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +33,6 @@ from .channel import ChannelParams, block_success_prob, cond_success_prob_classi
 from .geometry import NetworkRealization
 
 __all__ = [
-    "ArmPosterior",
     "RegretTrace",
     "sample_beta",
     "select_arm",
@@ -36,63 +43,52 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ArmPosterior:
-    """Beta(a, b) belief over one arm's per-slot success probability.
-
-    Starting from (1, 1), a - 1 counts observed successes and b - 1 observed
-    failures for the arm.
-    """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError("Beta parameters must be > 0")
-
-    @property
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
-
-
 @dataclass
 class RegretTrace:
-    """Per-block optimality gaps and their running sum for one TS run."""
+    """Per-block arms, rewards and optimality gaps of R lockstep TS runs.
+
+    Every array has one row per realization: `oracle_arm_index` (R,),
+    `arm_pull_counts` (R, D), the others (R, K).
+    """
 
     per_block_gap: np.ndarray
     cumulative: np.ndarray
-    oracle_arm_index: int
-    arm_pull_counts: dict[int, int] = field(default_factory=dict)
-    arm_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    block_rewards: np.ndarray = field(default_factory=lambda: np.empty(0))
+    oracle_arm_index: np.ndarray
+    arm_pull_counts: np.ndarray
+    arm_indices: np.ndarray
+    block_rewards: np.ndarray
 
 
-def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
-    """One Beta(a, b) draw realized as G_a / (G_a + G_b) from two Gammas."""
-    if a <= 0.0 or b <= 0.0:
+def sample_beta(a, b, rng: np.random.Generator) -> np.ndarray:
+    """Beta(a, b) draws, elementwise, realized as G_a / (G_a + G_b) from two
+    Gamma draws."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not ((a > 0.0).all() and (b > 0.0).all()):
         raise ValueError("Beta parameters must be > 0")
-    ga = rng.gamma(a)
-    gb = rng.gamma(b)
-    total = ga + gb
-    if total == 0.0:  # measure-zero underflow guard
-        return 0.5
-    return ga / total
+    ga = np.asarray(rng.standard_gamma(a))
+    total = ga + rng.standard_gamma(b)
+    # 0.5 guards the measure-zero underflow of both Gammas
+    return np.divide(ga, total, out=np.full_like(total, 0.5), where=total > 0.0)
 
 
-def select_arm(posteriors, rng: np.random.Generator) -> int:
-    """Sample every posterior, return the argmax index (lowest index on ties)."""
-    if not len(posteriors):
+def select_arm(a, b, rng: np.random.Generator) -> np.ndarray:
+    """Sample every posterior Beta(a, b) and return the argmax along the last
+    (arm) axis, the lowest index on ties: one arm per row of (R, D) arrays."""
+    if not np.shape(a)[-1]:
         raise ValueError("at least one arm is required")
-    draws = [sample_beta(p.a, p.b, rng) for p in posteriors]
-    return int(np.argmax(draws))
+    return np.argmax(sample_beta(a, b, rng), axis=-1)
 
 
-def batch_update(posterior: ArmPosterior, block_successes: int, T: int) -> ArmPosterior:
-    """End-of-block conjugate update: a += successes, b += T - successes."""
-    if not 0 <= block_successes <= T:
-        raise ValueError("block_successes must lie in [0, T]")
-    return ArmPosterior(posterior.a + block_successes, posterior.b + (T - block_successes))
+def batch_update(a: np.ndarray, b: np.ndarray, arm, successes, T: int) -> None:
+    """End-of-block conjugate update, in place: for each row r,
+    a[r, arm[r]] += successes[r] and b[r, arm[r]] += T - successes[r]."""
+    successes = np.asarray(successes)
+    if (successes < 0).any() or (successes > T).any():
+        raise ValueError("block successes must lie in [0, T]")
+    rows = np.arange(a.shape[0])
+    a[rows, arm] += successes
+    b[rows, arm] += T - successes
 
 
 def expected_block_reward(
@@ -122,7 +118,7 @@ def oracle_arm(
 
 
 def run_ts(
-    realization: NetworkRealization,
+    realizations,
     arms,
     protocol: Protocol,
     channel: ChannelParams,
@@ -131,59 +127,64 @@ def run_ts(
     rng: np.random.Generator,
     snapshot_every: int = 100,
 ) -> tuple[RegretTrace, list[dict]]:
-    """Run K blocks of Thompson sampling on a fixed realization.
+    """Run K blocks of Thompson sampling on each of R fixed realizations, in
+    lockstep.
 
-    Every block updates the pulled arm with the observed successes over T
-    trials; an idle block contributes 0 successes over T trials, keeping the
-    posterior consistent with the q-weighted reward rate. Returns the regret
-    trace (gaps against the oracle arm) and posterior snapshots.
+    Each realization has its own posteriors. Every block updates the pulled
+    arm with the observed successes over T trials; an idle block contributes
+    0 successes over T trials, keeping the posterior consistent with the
+    q-weighted reward rate. The realizations must share the typical-link
+    length r0. Returns the regret trace (gaps against each realization's
+    oracle arm) and posterior snapshots, each an (R, D, 2) array of (a, b).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     protocol = Protocol(protocol)
-    arms = [float(a) for a in arms]
-    D = len(arms)
-    posteriors = [ArmPosterior(1.0, 1.0) for _ in range(D)]
-    mu = [expected_block_reward(realization, a, channel, T) for a in arms]
-    oracle_idx = int(np.argmax(mu))
-    mu_star = mu[oracle_idx]
+    realizations = list(realizations)
+    if not realizations:
+        raise ValueError("at least one realization is required")
+    r0 = realizations[0].typical_distance_r0
+    if any(r.typical_distance_r0 != r0 for r in realizations):
+        raise ValueError("realizations must share the typical-link length r0")
+    arms = np.array([float(q) for q in arms])
+    R, D = len(realizations), arms.size
+    mu = np.array([[expected_block_reward(real, q, channel, T) for q in arms]
+                   for real in realizations])
+    distances = np.concatenate([r.interferer_distances for r in realizations])
+    counts = np.array([r.num_interferers for r in realizations])
+    rows = np.arange(R)
 
-    gaps = np.empty(K)
-    rewards = np.empty(K)
-    chosen = np.empty(K, dtype=int)
-    pulls: dict[int, int] = {d: 0 for d in range(D)}
+    a = np.ones((R, D))
+    b = np.ones((R, D))
+    chosen = np.empty((K, R), dtype=np.intp)
+    rewards = np.empty((K, R))
     history: list[dict] = []
-    counts = [realization.num_interferers]
 
     for k in range(K):
-        d = select_arm(posteriors, rng)
+        d = select_arm(a, b, rng)
         if protocol is Protocol.CLASSICAL:
-            p = mu[d] / T
-        elif rng.random() < arms[d]:
-            p = block_success_prob(realization.interferer_distances, counts,
-                                   realization.typical_distance_r0, channel,
-                                   protocol, arms[d], rng)[0]
+            p = mu[rows, d] / T
         else:
-            p = 0.0
-        succ = int(rng.binomial(T, p))
-        posteriors[d] = batch_update(posteriors[d], succ, T)
-        pulls[d] += 1
+            q = arms[d]
+            access = rng.random(R) < q
+            p = access * block_success_prob(distances, counts, r0, channel, protocol, q, rng)
+        succ = rng.binomial(T, p)
+        batch_update(a, b, d, succ, T)
         chosen[k] = d
         rewards[k] = succ
-        gaps[k] = mu_star - mu[d]
         if snapshot_every and (k + 1) % snapshot_every == 0:
-            history.append({
-                "block": k + 1,
-                "posteriors": [(p.a, p.b) for p in posteriors],
-            })
+            history.append({"block": k + 1, "posteriors": np.stack([a, b], axis=-1)})
 
+    chosen = chosen.T
+    gaps = mu.max(axis=1)[:, None] - np.take_along_axis(mu, chosen, axis=1)
+    pulls = np.bincount((chosen + D * rows[:, None]).ravel(), minlength=R * D)
     trace = RegretTrace(
         per_block_gap=gaps,
-        cumulative=np.cumsum(gaps),
-        oracle_arm_index=oracle_idx,
-        arm_pull_counts=pulls,
+        cumulative=np.cumsum(gaps, axis=1),
+        oracle_arm_index=np.argmax(mu, axis=1),
+        arm_pull_counts=pulls.reshape(R, D),
         arm_indices=chosen,
-        block_rewards=rewards,
+        block_rewards=rewards.T,
     )
     return trace, history
 

@@ -126,19 +126,25 @@ def suppression_factors(distances, r0: float, params: ChannelParams) -> np.ndarr
 
 def block_success_prob(
     distances, counts, r0: float, params: ChannelParams, protocol: Protocol,
-    q: float, rng: np.random.Generator,
+    q, rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-slot success probability of the typical link in each of many
     blocks, given that the typical pair transmits.
 
     `distances` holds the interferers of every block, concatenated block by
-    block, and `counts[b]` is block b's share. Block ALOHA draws each
-    interferer's activity for the whole block and returns P_blk of the drawn
-    active set; classical ALOHA returns P_cls(q), which averages the per-slot
-    activity. Given the geometry (and the active set), a block's slot
-    successes are i.i.d. Bernoulli of this value.
+    block, and `counts[b]` is block b's share. `q` is one access probability
+    for every block, or one per block (aligned with `counts`). Block ALOHA
+    draws each interferer's activity for the whole block and returns P_blk
+    of the drawn active set; classical ALOHA returns P_cls(q), which averages
+    the per-slot activity. Given the geometry (and the active set), a block's
+    slot successes are i.i.d. Bernoulli of this value.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    if np.ndim(q):
+        q = np.asarray(q, dtype=float)
+        if q.shape != counts.shape:
+            raise ValueError("per-block q must align with counts")
+        q = np.repeat(q, counts)
     x = suppression_factors(distances, r0, params)
     if Protocol(protocol) is Protocol.BLOCK:
         x = np.where(rng.random(x.size) < q, x, 1.0)

@@ -83,20 +83,23 @@ def _cmd_ts(config, args) -> dict[str, str]:
     realization = sample_ppp(config.ppp, rng)
     protocol = config.protocols[0]
     trace, history = run_ts(
-        realization, config.arms, protocol, config.channel, config.T, config.K, rng
+        [realization], config.arms, protocol, config.channel, config.T, config.K, rng
     )
+    arm_indices = trace.arm_indices[0]
     rows = [
-        [k + 1, int(trace.arm_indices[k]), config.arms[int(trace.arm_indices[k])],
-         float(trace.block_rewards[k]), float(trace.cumulative[k])]
+        [k + 1, int(arm_indices[k]), config.arms[int(arm_indices[k])],
+         float(trace.block_rewards[0, k]), float(trace.cumulative[0, k])]
         for k in range(config.K)
     ]
     artifacts = {
         "ts.csv": _csv(["k", "arm", "q", "block_reward", "cumulative_regret"], rows),
         "posteriors.json": json.dumps(
             {
-                "oracle_arm_index": trace.oracle_arm_index,
-                "arm_pull_counts": {str(k): v for k, v in trace.arm_pull_counts.items()},
-                "snapshots": history,
+                "oracle_arm_index": int(trace.oracle_arm_index[0]),
+                "arm_pull_counts": {str(d): int(n)
+                                    for d, n in enumerate(trace.arm_pull_counts[0])},
+                "snapshots": [{"block": h["block"], "posteriors": h["posteriors"][0].tolist()}
+                              for h in history],
             },
             indent=2,
         ) + "\n",

@@ -92,8 +92,14 @@ class LtiSystem:
         self.process_noise_std = float(process_noise_std)
         self._B_pinv = np.linalg.pinv(self.B, rcond=PINV_RCOND)
 
-        residual = (np.eye(self.n) - self.A) - self.B @ (self._B_pinv @ (np.eye(self.n) - self.A))
-        scale = max(1.0, float(np.linalg.norm(np.eye(self.n) - self.A)))
+        # feedback gain B^+ (I - A) and the holding input it gives at x_des
+        i_minus_a = np.eye(self.n) - self.A
+        self._feedback_gain = self._B_pinv @ i_minus_a
+        self._holding_input = self._feedback_gain @ self.x_des
+        self._feedback_gain.flags.writeable = False
+        self._holding_input.flags.writeable = False
+        residual = i_minus_a - self.B @ self._feedback_gain
+        scale = max(1.0, float(np.linalg.norm(i_minus_a)))
         self.range_ok = bool(np.linalg.norm(residual) <= tol * scale)
         if require_range and not self.range_ok:
             raise ValueError(
@@ -146,15 +152,14 @@ def holding_input(sys: LtiSystem) -> np.ndarray:
     """Input that keeps the state at the target: B^+ (I - A) x_des."""
     if not sys.range_ok:
         raise ValueError("holding input needs col(I - A) inside col(B)")
-    return sys._B_pinv @ ((np.eye(sys.n) - sys.A) @ sys.x_des)
+    return sys._holding_input
 
 
 def feedback_input(sys: LtiSystem, x: np.ndarray) -> np.ndarray:
     """Local state feedback B^+ (I - A) x; freezes the state under zero noise."""
     if not sys.range_ok:
         raise ValueError("state feedback needs col(I - A) inside col(B)")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return sys._B_pinv @ ((np.eye(sys.n) - sys.A) @ x)
+    return sys._feedback_gain @ np.asarray(x, dtype=float).reshape(-1)
 
 
 def propagate(sys: LtiSystem, x, u, rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -198,7 +203,7 @@ def is_block_controllable_rested(acks: Sequence[int], v: int) -> bool:
     """True iff the acknowledgment sequence contains >= v ones in total."""
     if v < 1:
         raise ValueError("v must be >= 1")
-    return int(sum(int(s) for s in acks)) >= v
+    return np.count_nonzero(acks) >= v
 
 
 @dataclass

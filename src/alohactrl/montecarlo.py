@@ -13,7 +13,9 @@ the same Bernoulli(p) slot oracle, for validation.
 
 Determinism: work is split into fixed-size chunks, each with its own child
 seed sequence; results reduce in chunk order, so outputs are byte-identical
-for any worker count.
+for any worker count. A regret study samples each realization from its own
+child seed and runs Thompson sampling on all of them as one lockstep loop
+(`bandit.run_ts`), which uses no worker threads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -342,30 +344,21 @@ def estimate_meta_empirical(
 
 def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
     """Mean cumulative TS regret over independent realizations, with the
-    explicit envelope."""
+    explicit envelope.
+
+    Realization i is sampled from child i of the seed; all of them then run
+    as one lockstep `run_ts` call on a stream from one further child, so the
+    result does not depend on `threads`.
+    """
     if config.mode is not Mode.REGRET_STUDY and config.mode is not Mode.TS_RUN:
         raise ValueError("run_regret_study expects a regret/ts mode config")
-    protocol = config.protocols[0]
     D = len(config.arms)
     K = config.K
     root = np.random.SeedSequence(config.seed)
-    seeds = root.spawn(config.num_realizations)
-
-    def one_run(i):
-        rng = np.random.Generator(np.random.PCG64(seeds[i]))
-        realization = sample_ppp(config.ppp, rng)
-        trace, _ = run_ts(
-            realization, config.arms, protocol, config.channel, config.T, K, rng,
-            snapshot_every=0,
-        )
-        return trace.cumulative
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outputs = list(pool.map(one_run, range(config.num_realizations)))
-    else:
-        outputs = [one_run(i) for i in range(config.num_realizations)]
-
-    mean_curve = np.stack(outputs).mean(axis=0)
+    realizations = [sample_ppp(config.ppp, np.random.Generator(np.random.PCG64(s)))
+                    for s in root.spawn(config.num_realizations)]
+    rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
+    trace, _ = run_ts(realizations, config.arms, config.protocols[0], config.channel,
+                      config.T, K, rng, snapshot_every=0)
     envelope = np.array([regret_envelope_explicit(k, config.T, D) for k in range(1, K + 1)])
-    return RegretStudyResult(mean_curve, envelope, config.num_realizations)
+    return RegretStudyResult(trace.cumulative.mean(axis=0), envelope, config.num_realizations)

@@ -315,17 +315,19 @@ def test_c7_ts_identification():
     config = load_config("fig3")
     assert config.ppp.intensity_lambda == pytest.approx(5e-4)
     runs = 24
-    seeds = np.random.SeedSequence(707).spawn(runs)
+    seeds = np.random.SeedSequence(707).spawn(runs + 1)
+    realizations = [sample_ppp(config.ppp, np.random.Generator(np.random.PCG64(s)))
+                    for s in seeds[:runs]]
+    trace, _ = run_ts(
+        realizations, config.arms, Protocol.BLOCK, config.channel,
+        config.T, config.K, np.random.Generator(np.random.PCG64(seeds[runs])),
+        snapshot_every=0,
+    )
     hits = 0
     for i in range(runs):
-        g = np.random.Generator(np.random.PCG64(seeds[i]))
-        realization = sample_ppp(config.ppp, g)
-        trace, _ = run_ts(
-            realization, config.arms, Protocol.BLOCK, config.channel,
-            config.T, config.K, g, snapshot_every=0,
-        )
-        modal = int(np.bincount(trace.arm_indices[1000:], minlength=len(config.arms)).argmax())
-        hits += modal == trace.oracle_arm_index
+        modal = int(np.bincount(trace.arm_indices[i, 1000:],
+                                minlength=len(config.arms)).argmax())
+        hits += modal == trace.oracle_arm_index[i]
     elapsed = time.perf_counter() - start
     assert hits >= 0.8 * runs, f"{hits}/{runs}"
     assert elapsed < 900.0

@@ -6,7 +6,6 @@ from scipy import stats
 
 from alohactrl.aloha import Protocol
 from alohactrl.bandit import (
-    ArmPosterior,
     batch_update,
     expected_block_reward,
     oracle_arm,
@@ -29,70 +28,94 @@ def unit_params(alpha=2.0, gamma=1.0, N0=0.0):
 
 class TestSampleBeta:
     def test_uniform_special_case(self):
-        g = rng(1)
-        draws = np.array([sample_beta(1.0, 1.0, g) for _ in range(200_000)])
+        draws = sample_beta(np.ones(200_000), np.ones(200_000), rng(1))
         assert stats.kstest(draws, "uniform").pvalue > 0.01
 
     def test_mean_three_sigma(self):
-        g = rng(2)
         n = 1_000_000
-        draws = np.array([sample_beta(3.0, 7.0, g) for _ in range(n)])
+        draws = sample_beta(np.full(n, 3.0), np.full(n, 7.0), rng(2))
         sigma = math.sqrt(0.3 * 0.7 / 11.0)
         assert abs(draws.mean() - 0.3) < 3 * sigma / math.sqrt(n)
 
     def test_concentration_near_one(self):
-        g = rng(3)
-        draws = [sample_beta(1000.0, 1.0, g) for _ in range(1000)]
-        assert min(draws) > 0.98
+        draws = sample_beta(np.full(1000, 1000.0), np.ones(1000), rng(3))
+        assert draws.min() > 0.98
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_beta(0.0, 1.0, rng(4))
+        with pytest.raises(ValueError):
+            sample_beta(np.ones((2, 3)), np.array([1.0, 0.0, 1.0]), rng(4))
 
 
 class TestSelectArm:
     def test_single_arm(self):
-        assert select_arm([ArmPosterior(1.0, 1.0)], rng(5)) == 0
+        assert select_arm(np.ones((1, 1)), np.ones((1, 1)), rng(5)).tolist() == [0]
 
     def test_stochastic_dominance(self):
-        g = rng(6)
-        arms = [ArmPosterior(1000.0, 1.0), ArmPosterior(1.0, 1000.0)]
-        wins = sum(select_arm(arms, g) == 0 for _ in range(1000))
-        assert wins >= 999
+        # one row per trial; arm 0 dominates in every row
+        a = np.tile([1000.0, 1.0], (1000, 1))
+        picks = select_arm(a, a[:, ::-1], rng(6))
+        assert picks.shape == (1000,)
+        assert np.count_nonzero(picks == 0) >= 999
 
     def test_exchangeable_arms_uniform(self):
-        g = rng(7)
         D, n = 4, 100_000
-        arms = [ArmPosterior(2.0, 2.0) for _ in range(D)]
-        picks = np.array([select_arm(arms, g) for _ in range(n)])
+        picks = select_arm(np.full((n, D), 2.0), np.full((n, D), 2.0), rng(7))
         sigma = math.sqrt((1 / D) * (1 - 1 / D) / n)
         for d in range(D):
             assert abs(np.mean(picks == d) - 1 / D) < 3 * sigma
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_arm([], rng(8))
+            select_arm(np.ones((1, 0)), np.ones((1, 0)), rng(8))
+
+    def test_rows_select_independently(self):
+        # row r's dominant arm is r, so each row returns its own index
+        a = np.ones((3, 3)) + 999.0 * np.eye(3)
+        assert select_arm(a, 1001.0 - a, rng(18)).tolist() == [0, 1, 2]
+
+
+def fresh(R, D):
+    return np.ones((R, D)), np.ones((R, D))
 
 
 class TestBatchUpdate:
     def test_all_successes(self):
-        assert batch_update(ArmPosterior(1.0, 1.0), 20, 20) == ArmPosterior(21.0, 1.0)
+        a, b = fresh(1, 1)
+        batch_update(a, b, [0], [20], 20)
+        assert (a[0, 0], b[0, 0]) == (21.0, 1.0)
 
     def test_all_failures(self):
-        assert batch_update(ArmPosterior(1.0, 1.0), 0, 20) == ArmPosterior(1.0, 21.0)
+        a, b = fresh(1, 1)
+        batch_update(a, b, [0], [0], 20)
+        assert (a[0, 0], b[0, 0]) == (1.0, 21.0)
 
     def test_sequential_equals_batch(self):
         g = rng(9)
         acks = (g.random(20) < 0.4).astype(int)
-        seq = ArmPosterior(1.0, 1.0)
+        seq_a, seq_b = fresh(1, 1)
         for s in acks:
-            seq = batch_update(seq, int(s), 1)
-        batched = batch_update(ArmPosterior(1.0, 1.0), int(acks.sum()), 20)
-        assert seq == batched
+            batch_update(seq_a, seq_b, [0], [s], 1)
+        a, b = fresh(1, 1)
+        batch_update(a, b, [0], [acks.sum()], 20)
+        assert np.array_equal(seq_a, a) and np.array_equal(seq_b, b)
 
     def test_range_check(self):
+        a, b = fresh(2, 1)
         with pytest.raises(ValueError):
-            batch_update(ArmPosterior(1.0, 1.0), 21, 20)
+            batch_update(a, b, [0, 0], [3, 21], 20)
+        with pytest.raises(ValueError):
+            batch_update(a, b, [0, 0], [-1, 3], 20)
+
+    def test_each_row_updates_its_pulled_arm(self):
+        a, b = fresh(3, 4)
+        batch_update(a, b, [2, 0, 2], [5, 1, 0], 10)
+        want_a, want_b = fresh(3, 4)
+        want_a[0, 2], want_b[0, 2] = 6.0, 6.0
+        want_a[1, 0], want_b[1, 0] = 2.0, 10.0
+        want_b[2, 2] = 11.0
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
 
 class TestOracleArm:
@@ -126,61 +149,98 @@ class TestOracleArm:
         for protocol in (Protocol.BLOCK, Protocol.CLASSICAL):
             for q in (0.3, 0.8):
                 want = expected_block_reward(real, q, params, T)
-                trace, _ = run_ts(real, [q], protocol, params, T, n_blocks, g,
+                trace, _ = run_ts([real], [q], protocol, params, T, n_blocks, g,
                                   snapshot_every=0)
-                rewards = trace.block_rewards
+                rewards = trace.block_rewards[0]
                 se = rewards.std(ddof=1) / math.sqrt(n_blocks)
                 assert abs(rewards.mean() - want) < 2.5 * se, (protocol, q)
+
+
+def realizations(n, seed):
+    g = rng(seed)
+    return [sample_ppp(PppConfig(5e-4, 150.0, 10.0), g) for _ in range(n)]
 
 
 class TestRunTs:
     def test_single_arm_zero_regret(self):
         params = unit_params()
-        real = NetworkRealization(np.array([25.0]), 10.0)
-        trace, _ = run_ts(real, [0.5], Protocol.BLOCK, params, 10, 50, rng(11))
+        reals = [NetworkRealization(np.array([25.0]), 10.0), *realizations(3, 11)]
+        trace, _ = run_ts(reals, [0.5], Protocol.BLOCK, params, 10, 50, rng(11))
+        assert trace.per_block_gap.shape == (4, 50)
         assert np.all(trace.per_block_gap == 0.0)
         assert np.all(trace.cumulative == 0.0)
 
     def test_gaps_nonnegative_cumulative_prefix(self):
         params = unit_params()
-        real = sample_ppp(PppConfig(5e-4, 150.0, 10.0), rng(12))
+        reals = realizations(3, 12)
         arms = [0.2, 0.5, 0.9]
-        trace, _ = run_ts(real, arms, Protocol.BLOCK, params, 20, 300, rng(13))
+        trace, _ = run_ts(reals, arms, Protocol.BLOCK, params, 20, 300, rng(13))
         assert np.all(trace.per_block_gap >= 0.0)
-        assert np.allclose(trace.cumulative, np.cumsum(trace.per_block_gap))
+        assert np.allclose(trace.cumulative, np.cumsum(trace.per_block_gap, axis=1))
+        for r, real in enumerate(reals):
+            mu = np.array([expected_block_reward(real, q, params, 20) for q in arms])
+            assert trace.oracle_arm_index[r] == np.argmax(mu)
+            assert np.array_equal(trace.per_block_gap[r], mu.max() - mu[trace.arm_indices[r]])
 
     def test_posterior_bookkeeping_identity(self):
-        # a_d - 1 + b_d - 1 == T * (blocks the arm was pulled), every slot
-        # accounted exactly once including idle blocks
+        # per realization row and arm: a - 1 is the rewards summed over the
+        # arm's pulls and a - 1 + b - 1 == T * pulls, every slot accounted
+        # exactly once including idle blocks
         params = unit_params()
-        real = sample_ppp(PppConfig(5e-4, 150.0, 10.0), rng(14))
+        reals = realizations(5, 14)
         T, K = 20, 400
         arms = [0.3, 0.6, 1.0]
-        trace, history = run_ts(real, arms, Protocol.BLOCK, params, T, K, rng(15),
-                                snapshot_every=K)
-        posteriors = history[-1]["posteriors"]
-        for d in range(3):
-            a, b = posteriors[d]
-            assert a - 1 + b - 1 == T * trace.arm_pull_counts[d]
-            assert a - 1 == trace.block_rewards[trace.arm_indices == d].sum()
+        for protocol in Protocol:
+            trace, history = run_ts(reals, arms, protocol, params, T, K, rng(15),
+                                    snapshot_every=K)
+            posteriors = history[-1]["posteriors"]
+            assert posteriors.shape == (5, 3, 2)
+            for r in range(5):
+                for d in range(3):
+                    a, b = posteriors[r, d]
+                    pulled = trace.arm_indices[r] == d
+                    assert trace.arm_pull_counts[r, d] == np.count_nonzero(pulled)
+                    assert a - 1 + b - 1 == T * trace.arm_pull_counts[r, d]
+                    assert a - 1 == trace.block_rewards[r, pulled].sum(), (protocol, r, d)
+
+    def test_lockstep_rewards_match_each_realization(self):
+        # each row's block rewards follow its own realization's law, and
+        # rows draw independently of each other
+        params = unit_params()
+        reals = realizations(3, 19)
+        T, K, q = 20, 20_000, 0.6
+        for protocol in Protocol:
+            trace, _ = run_ts(reals, [q], protocol, params, T, K, rng(20), snapshot_every=0)
+            for r, real in enumerate(reals):
+                rewards = trace.block_rewards[r]
+                se = rewards.std(ddof=1) / math.sqrt(K)
+                want = expected_block_reward(real, q, params, T)
+                assert abs(rewards.mean() - want) < 4 * se, (protocol, r)
+            corr = np.corrcoef(trace.block_rewards)[np.triu_indices(3, 1)]
+            assert np.all(np.abs(corr) < 4 / math.sqrt(K)), (protocol, corr)
 
     def test_inferior_arm_pulls_sublinear(self):
         # large reward gap: inferior-arm pulls grow slower than linearly
         params = unit_params()
         real = NetworkRealization(np.empty(0), 10.0)  # mu(q) = T q, gap 0.6T
         arms = [0.3, 0.9]
-        trace, _ = run_ts(real, arms, Protocol.BLOCK, params, 20, 5000, rng(16))
-        pulls_half = int(np.sum(trace.arm_indices[:2500] == 0))
-        pulls_full = int(np.sum(trace.arm_indices == 0))
+        trace, _ = run_ts([real], arms, Protocol.BLOCK, params, 20, 5000, rng(16))
+        pulls_half = int(np.sum(trace.arm_indices[0, :2500] == 0))
+        pulls_full = int(np.sum(trace.arm_indices[0] == 0))
         assert pulls_full < 2 * max(pulls_half, 1)
         assert pulls_full < 250
 
     def test_snapshots_every_100(self):
         params = unit_params()
-        real = NetworkRealization(np.empty(0), 10.0)
-        _, history = run_ts(real, [0.4, 0.8], Protocol.BLOCK, params, 5, 250, rng(17))
+        reals = [NetworkRealization(np.empty(0), 10.0)] * 3
+        _, history = run_ts(reals, [0.4, 0.8], Protocol.BLOCK, params, 5, 250, rng(17))
         assert [h["block"] for h in history] == [100, 200]
-        assert all(len(h["posteriors"]) == 2 for h in history)
+        assert all(h["posteriors"].shape == (3, 2, 2) for h in history)
+
+    def test_realizations_must_share_r0(self):
+        reals = [NetworkRealization(np.empty(0), 10.0), NetworkRealization(np.empty(0), 12.0)]
+        with pytest.raises(ValueError):
+            run_ts(reals, [0.5], Protocol.BLOCK, unit_params(), 5, 10, rng(21))
 
 
 class TestEnvelopes:

@@ -202,3 +202,31 @@ class TestBlockSuccessProb:
         for protocol in Protocol:
             p = block_success_prob([], np.zeros(3, int), 10.0, self.params, protocol, 0.5, rng())
             assert np.all(p == self.params.noise_success_factor(10.0))
+
+    def test_per_block_q_matches_scalar_calls(self):
+        # an array q equals one scalar call per block, in block order, on a
+        # generator replaying the same uniforms (empty blocks draw none)
+        distances, counts = segmented_geometry(rng(35), n_blocks=120)
+        q = rng(36).random(counts.size)
+        for protocol in Protocol:
+            p = block_success_prob(distances, counts, 10.0, self.params, protocol, q, rng(37))
+            replay = rng(37)
+            for b, seg in enumerate(segments(distances, counts)):
+                want = block_success_prob(distances[seg], [counts[b]], 10.0, self.params,
+                                          protocol, float(q[b]), replay)[0]
+                assert abs(p[b] - want) <= 1e-12, (protocol, b, p[b], want)
+
+    def test_scalar_q_equals_broadcast_array(self):
+        distances, counts = segmented_geometry(rng(38))
+        for protocol in Protocol:
+            scalar = block_success_prob(distances, counts, 10.0, self.params, protocol,
+                                        0.4, rng(39))
+            array = block_success_prob(distances, counts, 10.0, self.params, protocol,
+                                       np.full(counts.size, 0.4), rng(39))
+            assert np.array_equal(scalar, array), protocol
+
+    def test_per_block_q_must_align_with_counts(self):
+        distances, counts = segmented_geometry(rng(40), n_blocks=10)
+        with pytest.raises(ValueError):
+            block_success_prob(distances, counts, 10.0, self.params, Protocol.BLOCK,
+                               np.full(9, 0.5), rng())

@@ -203,6 +203,14 @@ class TestCliEndToEnd:
         assert lines[0] == "k,mean_regret,envelope"
         assert len(lines) == 81
 
+    def test_regret_reproducible_across_threads(self, tmp_path):
+        common = ["--config", "fig5", "--set", "num_realizations=4", "--set", "K=200"]
+        self.run_cli("regret", *common, "--out", str(tmp_path / "a"), "--threads", "1")
+        self.run_cli("regret", *common, "--out", str(tmp_path / "b"), "--threads", "2")
+        a = (tmp_path / "a" / "regret.csv").read_bytes()
+        b = (tmp_path / "b" / "regret.csv").read_bytes()
+        assert a == b
+
     def test_unknown_override_exits_nonzero(self, tmp_path, capsys):
         code = self.run_cli(
             "simulate", "--config", "fig2", "--out", str(tmp_path), "--set", "zap=1"

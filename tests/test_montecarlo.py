@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from alohactrl.aloha import Protocol
+from alohactrl.bandit import run_ts
 from alohactrl.channel import ChannelParams, cond_success_prob_classical, default_channel
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 from alohactrl.montecarlo import (
@@ -206,6 +207,21 @@ class TestRegretStudy:
         study = run_regret_study(cfg)
         assert np.all(np.diff(study.mean_cumulative) >= -1e-12)
         assert np.all(study.mean_cumulative <= study.envelope)
+
+    def test_geometry_from_spawned_children(self):
+        # realization i comes from child i of the seed, as before the
+        # lockstep loop; TS runs on one further child
+        cfg = small_config(
+            arms=(0.2, 0.5, 0.9), K=100, num_realizations=5,
+            mode=Mode.REGRET_STUDY, channel=default_channel(),
+        )
+        root = np.random.SeedSequence(cfg.seed)
+        reals = [sample_ppp(cfg.ppp, np.random.Generator(np.random.PCG64(s)))
+                 for s in root.spawn(5)]
+        trace, _ = run_ts(reals, cfg.arms, cfg.protocols[0], cfg.channel, cfg.T, cfg.K,
+                          np.random.Generator(np.random.PCG64(root.spawn(1)[0])))
+        study = run_regret_study(cfg)
+        assert np.array_equal(study.mean_cumulative, trace.cumulative.mean(axis=0))
 
     def test_default_system_shape(self):
         sys = default_system_for(4)
