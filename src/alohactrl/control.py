@@ -1,6 +1,9 @@
 """Discrete-time LTI control loops driven over a lossy acknowledged link.
 
-Two actuator disciplines are implemented per block of T slots:
+Two actuator disciplines are implemented, each as one loop over the T slots
+of a block that advances a batch of blocks together: the state, estimate and
+burst or delivery counter of every block are arrays with one row per block,
+and each slot's acknowledgments are one column of a (B, T) array.
 
 * restless: the actuator only ever applies inputs received from the controller
   (zero input on a failed slot); the block is controllable once v CONSECUTIVE
@@ -12,12 +15,14 @@ Two actuator disciplines are implemented per block of T slots:
 
 The controller designs v inputs by a minimum-norm least-squares solve that
 drives its estimate to the desired state when all planned inputs are applied.
+`design_inputs`, `feedback_input` and `propagate` take one state (n,) or a
+batch (B, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -139,13 +144,14 @@ class LtiSystem:
 def design_inputs(sys: LtiSystem, x_hat: np.ndarray) -> np.ndarray:
     """Minimum-norm plan of v inputs that moves the estimate to the target.
 
-    Returns shape (v, m); applying the rows in order (all acknowledged) drives
-    the estimate recursion from x_hat to x_des exactly whenever the target
-    offset is reachable.
+    An estimate of shape (n,) gives shape (v, m), a batch (B, n) gives
+    (B, v, m); applying a plan's rows in order (all acknowledged) drives the
+    estimate recursion from x_hat to x_des exactly whenever the target offset
+    is reachable.
     """
-    x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
-    stacked = sys._Psi_pinv @ (sys.x_des - sys._A_pow_v @ x_hat)
-    return stacked.reshape(sys.v, sys.m)
+    x_hat = np.asarray(x_hat, dtype=float)
+    stacked = (sys.x_des - x_hat @ sys._A_pow_v.T) @ sys._Psi_pinv.T
+    return stacked.reshape(x_hat.shape[:-1] + (sys.v, sys.m))
 
 
 def holding_input(sys: LtiSystem) -> np.ndarray:
@@ -156,21 +162,26 @@ def holding_input(sys: LtiSystem) -> np.ndarray:
 
 
 def feedback_input(sys: LtiSystem, x: np.ndarray) -> np.ndarray:
-    """Local state feedback B^+ (I - A) x; freezes the state under zero noise."""
+    """Local state feedback B^+ (I - A) x, row-wise for a (B, n) batch;
+    freezes the state under zero noise."""
     if not sys.range_ok:
         raise ValueError("state feedback needs col(I - A) inside col(B)")
-    return sys._feedback_gain @ np.asarray(x, dtype=float).reshape(-1)
+    return np.asarray(x, dtype=float) @ sys._feedback_gain.T
+
+
+def _predict(sys: LtiSystem, x, u) -> np.ndarray:
+    """Noiseless step A x + B u, row-wise for (B, n) states and (B, m) inputs."""
+    return np.asarray(x, dtype=float) @ sys.A.T + np.asarray(u, dtype=float) @ sys.B.T
 
 
 def propagate(sys: LtiSystem, x, u, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """One step of x(t+1) = A x + B u + w with i.i.d. Gaussian process noise."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    nxt = sys.A @ x + sys.B @ u
+    """One step of x(t+1) = A x + B u + w with i.i.d. Gaussian process noise;
+    x of shape (n,) or (B, n), u of shape (m,) or (B, m)."""
+    nxt = _predict(sys, x, u)
     if sys.process_noise_std > 0.0:
         if rng is None:
             raise ValueError("rng required when process_noise_std > 0")
-        nxt = nxt + rng.normal(0.0, sys.process_noise_std, sys.n)
+        nxt = nxt + rng.normal(0.0, sys.process_noise_std, nxt.shape)
     return nxt
 
 
@@ -208,179 +219,124 @@ def is_block_controllable_rested(acks: Sequence[int], v: int) -> bool:
 
 @dataclass
 class BlockTrace:
-    """Per-slot record of one simulated block."""
+    """Per-slot record of a batch of simulated blocks, one row per block."""
 
-    access_C0: np.ndarray
-    acks_S: np.ndarray
-    states_x: np.ndarray
-    estimates_xhat: np.ndarray
-    inputs_applied: np.ndarray
-    burst_L_final: int
-    success_count_Lambda: int
-    block_controllable: bool
+    acks_S: np.ndarray  # (B, T)
+    states_x: np.ndarray  # (B, T + 1, n)
+    estimates_xhat: np.ndarray  # (B, T + 1, n)
+    inputs_applied: np.ndarray  # (B, T, m)
+    burst_L_final: np.ndarray  # (B,)
+    success_count_Lambda: np.ndarray  # (B,)
+    block_controllable: np.ndarray  # (B,)
 
 
-SuccessOracle = Callable[[int], int]
+def _block_start(sys: LtiSystem, acks, x0):
+    """Acknowledgments as (B, T) booleans (a 1-D sequence is one row), the
+    start state broadcast to (B, n), and empty state/input records."""
+    hit = np.atleast_2d(np.asarray(acks) != 0)
+    if hit.ndim != 2 or hit.shape[1] < 1:
+        raise ValueError("acks must have shape (B, T) with T >= 1")
+    n_blocks, T = hit.shape
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (n_blocks, sys.n)).copy()
+    states = np.empty((n_blocks, T + 1, sys.n))
+    estimates = np.empty((n_blocks, T + 1, sys.n))
+    states[:, 0] = x
+    estimates[:, 0] = x
+    return hit, x, x.copy(), states, estimates, np.empty((n_blocks, T, sys.m))
 
 
 def run_block_restless(
     sys: LtiSystem,
-    T: int,
-    access: Sequence[int],
-    success_oracle: SuccessOracle,
-    x_true,
-    x_hat,
+    acks,
+    x0,
     rng: Optional[np.random.Generator] = None,
 ) -> BlockTrace:
-    """Execute one restless block.
+    """Execute a batch of restless blocks, one per row of acks (B, T).
 
-    On an active slot the controller redesigns when the burst is broken,
-    transmits the next planned input while the burst is open, and dummy data
-    (all ones) once v consecutive successes have been achieved. The actuator
-    applies acknowledged planned inputs until the burst completes and the
-    pre-stored holding input afterwards; failed slots apply zero input.
+    Per block the controller redesigns from its estimate when the burst is
+    broken and sends the next planned input while the burst is open; once v
+    consecutive successes complete the burst it sends dummy data. The
+    actuator applies acknowledged planned inputs until the burst completes,
+    the pre-stored holding input afterwards, and zero input on a failed
+    slot. The controller starts with the true state x0 ((n,) or (B, n)).
+
+    An idle slot and a failed one act alike (zero input, burst reset,
+    estimate A x_hat), so given acknowledgments inside the typical pair's
+    access the trajectory depends on the acknowledgments only.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    access = np.asarray(access, dtype=np.uint8).reshape(-1)
-    if access.shape[0] != T:
-        raise ValueError("access must have length T")
-
-    x = np.asarray(x_true, dtype=float).reshape(-1).copy()
-    xh = np.asarray(x_hat, dtype=float).reshape(-1).copy()
+    hit, x, xh, states, estimates, inputs = _block_start(sys, acks, x0)
+    n_blocks, T = hit.shape
+    rows = np.arange(n_blocks)
     u_bar = holding_input(sys)
-    dummy = np.ones(sys.m)
-
-    states = np.empty((T + 1, sys.n))
-    estimates = np.empty((T + 1, sys.n))
-    inputs = np.zeros((T, sys.m))
-    acks = np.zeros(T, dtype=np.uint8)
-    states[0] = x
-    estimates[0] = xh
-
-    plan = None
-    L = 0
-    completed = False
+    plan = np.zeros((n_blocks, sys.v, sys.m))
+    L = np.zeros(n_blocks, dtype=np.int64)
 
     for t in range(T):
-        S = 0
-        sent = None
-        if access[t]:
-            if not completed:
-                if L == 0:
-                    plan = design_inputs(sys, xh)
-                sent = plan[L]
-            else:
-                sent = dummy
-            S = int(success_oracle(t))
-            if not completed:
-                L = S * (L + 1)
-                if L == sys.v:
-                    completed = True
-        else:
-            # a gap breaks the planned consecutive application; force redesign
-            if not completed:
-                L = 0
-        acks[t] = S
-
-        if completed and (not access[t] or sent is dummy):
-            # burst already complete before this slot: hold at the target
-            u_applied = u_bar
-            xh = sys.A @ xh + sys.B @ u_bar
-        elif S and sent is not None:
-            u_applied = sent
-            xh = sys.A @ xh + sys.B @ sent
-        else:
-            u_applied = np.zeros(sys.m)
-            xh = sys.A @ xh
-
-        x = propagate(sys, x, u_applied, rng)
-        inputs[t] = u_applied
-        states[t + 1] = x
-        estimates[t + 1] = xh
+        done = L == sys.v
+        send = hit[:, t] & ~done
+        redesign = send & (L == 0)
+        if redesign.any():
+            plan[redesign] = design_inputs(sys, xh[redesign])
+        u = np.zeros((n_blocks, sys.m))
+        u[send] = plan[rows[send], L[send]]
+        u[done] = u_bar
+        L = np.where(done, L, send * (L + 1))
+        xh = _predict(sys, xh, u)
+        x = propagate(sys, x, u, rng)
+        inputs[:, t] = u
+        states[:, t + 1] = x
+        estimates[:, t + 1] = xh
 
     return BlockTrace(
-        access_C0=access,
-        acks_S=acks,
+        acks_S=hit.astype(np.uint8),
         states_x=states,
         estimates_xhat=estimates,
         inputs_applied=inputs,
         burst_L_final=L,
-        success_count_Lambda=int(acks.sum()),
-        block_controllable=is_block_controllable_restless(acks, sys.v),
+        success_count_Lambda=np.count_nonzero(hit, axis=1),
+        block_controllable=longest_runs(hit) >= sys.v,
     )
 
 
 def run_block_rested(
     sys: LtiSystem,
-    T: int,
-    access: Sequence[int],
-    success_oracle: SuccessOracle,
-    x_true,
-    x_hat,
+    acks,
+    x0,
     rng: Optional[np.random.Generator] = None,
 ) -> BlockTrace:
-    """Execute one rested block.
+    """Execute a batch of rested blocks, one per row of acks (B, T).
 
-    The plan is designed once from the start-of-block estimate; the controller
-    retransmits the next undelivered input until acknowledged and dummy data
-    after v successes. The actuator applies acknowledged inputs and local
-    feedback B^+(I - A) x otherwise, which freezes state and estimate.
+    Per block the plan is designed once from the start-of-block estimate
+    (the true state x0, (n,) or (B, n)); the controller retransmits the next
+    undelivered input until acknowledged and dummy data after v successes.
+    The actuator applies delivered inputs and local feedback B^+(I - A) x on
+    every other slot (failed, idle or dummy), which freezes the state, so the
+    controller's estimate stays put there.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    access = np.asarray(access, dtype=np.uint8).reshape(-1)
-    if access.shape[0] != T:
-        raise ValueError("access must have length T")
-
-    x = np.asarray(x_true, dtype=float).reshape(-1).copy()
-    xh = np.asarray(x_hat, dtype=float).reshape(-1).copy()
-    dummy = np.ones(sys.m)
-
-    states = np.empty((T + 1, sys.n))
-    estimates = np.empty((T + 1, sys.n))
-    inputs = np.zeros((T, sys.m))
-    acks = np.zeros(T, dtype=np.uint8)
-    states[0] = x
-    estimates[0] = xh
-
+    hit, x, xh, states, estimates, inputs = _block_start(sys, acks, x0)
+    n_blocks, T = hit.shape
+    rows = np.arange(n_blocks)
     plan = design_inputs(sys, xh)
-    Lam = 0
+    Lam = np.zeros(n_blocks, dtype=np.int64)
 
     for t in range(T):
-        S = 0
-        delivered = None
-        if access[t]:
-            if Lam < sys.v:
-                sent = plan[Lam]
-                S = int(success_oracle(t))
-                if S:
-                    delivered = sent
-                    Lam += 1
-            else:
-                S = int(success_oracle(t))  # dummy data; ack still returned
-        acks[t] = S
+        deliver = hit[:, t] & (Lam < sys.v)
+        u = feedback_input(sys, x)
+        u[deliver] = plan[rows[deliver], Lam[deliver]]
+        xh = np.where(deliver[:, None], _predict(sys, xh, u), xh)
+        x = propagate(sys, x, u, rng)
+        Lam += deliver
+        inputs[:, t] = u
+        states[:, t + 1] = x
+        estimates[:, t + 1] = xh
 
-        if delivered is not None:
-            u_applied = delivered
-            xh = sys.A @ xh + sys.B @ delivered
-        else:
-            u_applied = feedback_input(sys, x)
-            # failed/idle/dummy slot: actuator feedback holds the state, so the
-            # controller's estimate stays put
-        x = propagate(sys, x, u_applied, rng)
-        inputs[t] = u_applied
-        states[t + 1] = x
-        estimates[t + 1] = xh
-
+    total = np.count_nonzero(hit, axis=1)
     return BlockTrace(
-        access_C0=access,
-        acks_S=acks,
+        acks_S=hit.astype(np.uint8),
         states_x=states,
         estimates_xhat=estimates,
         inputs_applied=inputs,
-        burst_L_final=min(int(longest_runs(acks)[0]), sys.v),
-        success_count_Lambda=int(acks.sum()),
-        block_controllable=is_block_controllable_rested(acks, sys.v),
+        burst_L_final=np.minimum(longest_runs(hit), sys.v),
+        success_count_Lambda=total,
+        block_controllable=total >= sys.v,
     )
-

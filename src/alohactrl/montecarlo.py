@@ -8,8 +8,10 @@ ALOHA); given those draws the slot successes are i.i.d. Bernoulli(p), gated by
 the typical pair's own access draws, so no fading is simulated. The plant
 state recursion cannot influence the successes, so restless (consecutive)
 and rested (total) controllability flags are computed directly from the
-sequences. A state-level mode drives the full controller/actuator loops, with
-the same Bernoulli(p) slot oracle, for validation.
+sequences. A state-level mode, for validation, feeds the same acknowledgment
+stream through the full controller/actuator loops: one batched slot loop per
+discipline (`control.run_block_restless`, `control.run_block_rested`) on
+chunks of blocks.
 
 Determinism: work is split into fixed-size chunks, each with its own child
 seed sequence; results reduce in chunk order, so outputs are byte-identical
@@ -222,68 +224,59 @@ def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult
     for protocol in config.protocols:
         for q in config.q_values:
             if config.state_level:
-                flags = _state_level_flags(config, protocol, q, combo_seeds[idx])
-                n = config.num_realizations
-                for system in config.systems:
-                    p_hat = float(np.mean(flags[system]))
-                    results.append(SweepResult(
-                        protocol, system, q, p_hat,
-                        1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n,
-                    ))
+                flags = _state_level_flags(config, protocol, q, combo_seeds[idx], fixed)
             else:
                 acks = simulate_ack_blocks(
                     config.ppp, config.channel, protocol, q, config.T,
                     config.num_realizations, combo_seeds[idx],
                     realization=fixed, threads=config.threads,
                 )
-                n = acks.shape[0]
-                restless = longest_runs(acks) >= config.v
-                rested = acks.sum(axis=1) >= config.v
-                flags = {"restless": restless, "rested": rested}
-                for system in config.systems:
-                    p_hat = float(np.mean(flags[system]))
-                    results.append(SweepResult(
-                        protocol, system, q, p_hat,
-                        1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n,
-                    ))
+                flags = {"restless": longest_runs(acks) >= config.v,
+                         "rested": acks.sum(axis=1) >= config.v}
+            n = config.num_realizations
+            for system in config.systems:
+                p_hat = float(np.mean(flags[system]))
+                results.append(SweepResult(
+                    protocol, system, q, p_hat,
+                    1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n,
+                ))
             idx += 1
     return results
 
 
-def default_system_for(v: int) -> LtiSystem:
+def default_system_for(v: int, process_noise_std: float = 0.0) -> LtiSystem:
     """A v-dimensional plant whose minimal polynomial has degree exactly v:
     a single Jordan block at 0.9 with full-rank actuation."""
     A = 0.9 * np.eye(v) + np.diag(np.ones(v - 1), 1) if v > 1 else np.array([[0.9]])
     B = np.eye(v)
     x_des = np.ones(v)
-    return LtiSystem(A, B, x_des, v=v)
+    return LtiSystem(A, B, x_des, v=v, process_noise_std=process_noise_std)
 
 
-def _state_level_flags(config, protocol, q, seed_seq):
-    """Slow path: run the full controller/actuator loops per block."""
-    sys = config.plant if config.plant is not None else default_system_for(config.v)
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    out = {"restless": np.zeros(config.num_realizations, bool),
-           "rested": np.zeros(config.num_realizations, bool)}
-    for b in range(config.num_realizations):
-        real = sample_ppp(config.ppp, rng)
-        p = float(block_success_prob(
-            real.interferer_distances, [real.num_interferers], real.typical_distance_r0,
-            config.channel, protocol, q, rng,
-        )[0])
-        slots = 1 if protocol is Protocol.BLOCK else config.T
-        access = np.broadcast_to(rng.random(slots) < q, config.T).astype(np.uint8)
+def _state_level_flags(config, protocol, q, seed_seq, realization=None):
+    """Validation path: run the controller/actuator loops on the ack stream.
 
-        def oracle(t):
-            return int(rng.random() < p)
-
-        x0 = sys.x_des + rng.normal(0.0, 1.0, sys.n)
-        if "restless" in config.systems:
-            tr = run_block_restless(sys, config.T, access, oracle, x0, x0, rng)
-            out["restless"][b] = tr.block_controllable
-        if "rested" in config.systems:
-            tr = run_block_rested(sys, config.T, access, oracle, x0, x0, rng)
-            out["rested"][b] = tr.block_controllable
+    The acknowledgments are the ack-level ones (`simulate_ack_blocks` on the
+    point's seed), so the flags equal the ack-level flags. Start states
+    x0 = x_des + N(0, I) and any process noise come from one further child
+    of the seed. Both disciplines run on the same acknowledgments, as one
+    batched loop each per chunk of CHUNK_BLOCKS blocks, which bounds the
+    memory of the state traces.
+    """
+    sys = config.plant if config.plant is not None else default_system_for(
+        config.v, config.process_noise_std)
+    n = config.num_realizations
+    acks = simulate_ack_blocks(config.ppp, config.channel, protocol, q, config.T, n,
+                               seed_seq, realization=realization, threads=config.threads)
+    # spawned after the ack chunks' children, so it is the next child in line
+    rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
+    runners = {"restless": run_block_restless, "rested": run_block_rested}
+    out = {system: np.zeros(n, bool) for system in config.systems}
+    for first in range(0, n, CHUNK_BLOCKS):
+        rows = slice(first, min(first + CHUNK_BLOCKS, n))
+        x0 = sys.x_des + rng.normal(0.0, 1.0, (rows.stop - first, sys.n))
+        for system in config.systems:
+            out[system][rows] = runners[system](sys, acks[rows], x0, rng).block_controllable
     return out
 
 

@@ -126,12 +126,9 @@ def holding_and_feedback_hand_cases():
 @check
 def restless_full_success_reaches_target():
     sys = montecarlo.default_system_for(3)
-    trace = control.run_block_restless(
-        sys, 8, np.ones(8, dtype=int), lambda t: 1,
-        np.zeros(3), np.zeros(3),
-    )
-    assert trace.block_controllable
-    assert np.allclose(trace.states_x[-1], sys.x_des, atol=1e-9)
+    trace = control.run_block_restless(sys, np.ones(8, dtype=int), np.zeros(3))
+    assert trace.block_controllable[0]
+    assert np.allclose(trace.states_x[0, -1], sys.x_des, atol=1e-9)
     assert np.allclose(trace.states_x, trace.estimates_xhat, atol=1e-9)
 
 
@@ -139,12 +136,9 @@ def restless_full_success_reaches_target():
 def rested_scattered_success_reaches_target():
     sys = montecarlo.default_system_for(3)
     pattern = [0, 1, 0, 1, 0, 0, 1, 0]
-    trace = control.run_block_rested(
-        sys, 8, np.ones(8, dtype=int), lambda t: pattern[t],
-        np.zeros(3), np.zeros(3),
-    )
-    assert trace.block_controllable
-    assert np.allclose(trace.states_x[-1], sys.x_des, atol=1e-9)
+    trace = control.run_block_rested(sys, pattern, np.zeros(3))
+    assert trace.block_controllable[0]
+    assert np.allclose(trace.states_x[0, -1], sys.x_des, atol=1e-9)
 
 
 @check

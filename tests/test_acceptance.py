@@ -431,25 +431,25 @@ def test_c9_control_loop_invariants():
         access = (g.random(T) < 0.75).astype(int)
         acks = (g.random(T) < 0.55).astype(int) & access
 
-        tr_rl = run_block_restless(sys, T, access, lambda t: int(acks[t]), x0, x0)
-        tr_rd = run_block_rested(sys, T, access, lambda t: int(acks[t]), x0, x0)
+        tr_rl = run_block_restless(sys, acks, x0)
+        tr_rd = run_block_rested(sys, acks, x0)
 
         # estimate == state under zero noise, both disciplines
-        assert np.allclose(tr_rl.states_x, tr_rl.estimates_xhat, atol=1e-9)
-        assert np.allclose(tr_rd.states_x, tr_rd.estimates_xhat, atol=1e-9)
+        assert np.allclose(tr_rl.states_x[0], tr_rl.estimates_xhat[0], atol=1e-9)
+        assert np.allclose(tr_rd.states_x[0], tr_rd.estimates_xhat[0], atol=1e-9)
 
         # definition consistency
-        assert tr_rl.block_controllable == is_block_controllable_restless(
-            tr_rl.acks_S, sys.v
+        assert tr_rl.block_controllable[0] == is_block_controllable_restless(
+            tr_rl.acks_S[0], sys.v
         )
-        assert tr_rd.block_controllable == is_block_controllable_rested(
-            tr_rd.acks_S, sys.v
+        assert tr_rd.block_controllable[0] == is_block_controllable_rested(
+            tr_rd.acks_S[0], sys.v
         )
 
         # terminal accuracy: reach x_des right after the controllability
         # condition is first met, and hold it to the end of the block
-        if tr_rl.block_controllable:
-            s = tr_rl.acks_S
+        if tr_rl.block_controllable[0]:
+            s = tr_rl.acks_S[0]
             run = 0
             first = None
             for t in range(T):
@@ -458,12 +458,12 @@ def test_c9_control_loop_invariants():
                     first = t
                     break
             for t in range(first + 1, T + 1):
-                assert np.allclose(tr_rl.states_x[t], sys.x_des, atol=1e-9)
-        if tr_rd.block_controllable:
-            s = np.cumsum(tr_rd.acks_S)
+                assert np.allclose(tr_rl.states_x[0, t], sys.x_des, atol=1e-9)
+        if tr_rd.block_controllable[0]:
+            s = np.cumsum(tr_rd.acks_S[0])
             first = int(np.argmax(s >= sys.v))
             for t in range(first + 1, T + 1):
-                assert np.allclose(tr_rd.states_x[t], sys.x_des, atol=1e-9)
+                assert np.allclose(tr_rd.states_x[0, t], sys.x_des, atol=1e-9)
 
         # rested estimate frozen on every failed/idle slot before completion
         lam_count = 0
@@ -473,7 +473,7 @@ def test_c9_control_loop_invariants():
                 lam_count += 1
             else:
                 assert np.allclose(
-                    tr_rd.estimates_xhat[t + 1], tr_rd.estimates_xhat[t], atol=1e-12
+                    tr_rd.estimates_xhat[0, t + 1], tr_rd.estimates_xhat[0, t], atol=1e-12
                 )
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -203,22 +203,23 @@ class TestRestlessBlock:
         for _ in range(10):
             sys, x0 = random_range_compatible_system(g)
             T = sys.v + 4
-            trace = run_block_restless(sys, T, np.ones(T, int), lambda t: 1, x0, x0)
-            assert trace.block_controllable
+            trace = run_block_restless(sys, np.ones(T, int), x0)
+            assert trace.block_controllable[0]
             # reaches the target right after the v-th success and holds
             for t in range(sys.v, T + 1):
-                assert np.allclose(trace.states_x[t], sys.x_des, atol=1e-9)
+                assert np.allclose(trace.states_x[0, t], sys.x_des, atol=1e-9)
 
     def test_idle_block(self):
         sys = default_system_for(2)
         x0 = np.array([5.0, -1.0])
-        trace = run_block_restless(sys, 6, np.zeros(6, int), lambda t: 1, x0, x0)
-        assert not trace.block_controllable
+        access = np.zeros(6, int)  # idle block: an ack on every slot it would use
+        trace = run_block_restless(sys, np.ones(6, int) & access, x0)
+        assert not trace.block_controllable[0]
         assert not trace.acks_S.any()
         x = x0.copy()
         for t in range(6):
             x = sys.A @ x
-            assert np.allclose(trace.states_x[t + 1], x, atol=1e-12)
+            assert np.allclose(trace.states_x[0, t + 1], x, atol=1e-12)
 
     def test_forced_pattern_step_through(self):
         # acks 1,1,0,1,1 with v=2: burst completes at slot 2, one design only,
@@ -226,17 +227,17 @@ class TestRestlessBlock:
         sys = default_system_for(2)
         pattern = [1, 1, 0, 1, 1]
         x0 = np.array([2.0, 3.0])
-        trace = run_block_restless(sys, 5, np.ones(5, int), lambda t: pattern[t], x0, x0)
-        assert trace.block_controllable
-        assert trace.burst_L_final == 2
-        assert list(trace.acks_S) == pattern
+        trace = run_block_restless(sys, pattern, x0)
+        assert trace.block_controllable[0]
+        assert trace.burst_L_final[0] == 2
+        assert list(trace.acks_S[0]) == pattern
         plan = design_inputs(sys, x0)
-        assert np.allclose(trace.inputs_applied[0], plan[0], atol=1e-12)
-        assert np.allclose(trace.inputs_applied[1], plan[1], atol=1e-12)
+        assert np.allclose(trace.inputs_applied[0, 0], plan[0], atol=1e-12)
+        assert np.allclose(trace.inputs_applied[0, 1], plan[1], atol=1e-12)
         u_bar = holding_input(sys)
         for t in (2, 3, 4):
-            assert np.allclose(trace.inputs_applied[t], u_bar, atol=1e-12)
-        assert np.allclose(trace.states_x[2:], sys.x_des, atol=1e-9)
+            assert np.allclose(trace.inputs_applied[0, t], u_bar, atol=1e-12)
+        assert np.allclose(trace.states_x[0, 2:], sys.x_des, atol=1e-9)
 
     def test_partial_burst_resets_and_redesigns(self):
         # failure resets the burst; a fresh design from the current estimate
@@ -246,9 +247,9 @@ class TestRestlessBlock:
         v = sys.v
         pattern = [1] * (v - 1) + [0] + [1] * v if v > 1 else [0, 1]
         T = len(pattern)
-        trace = run_block_restless(sys, T, np.ones(T, int), lambda t: pattern[t], x0, x0)
-        assert trace.block_controllable
-        assert np.allclose(trace.states_x[-1], sys.x_des, atol=1e-8)
+        trace = run_block_restless(sys, pattern, x0)
+        assert trace.block_controllable[0]
+        assert np.allclose(trace.states_x[0, -1], sys.x_des, atol=1e-8)
 
     def test_estimate_matches_state_random_patterns(self):
         g = rng(16)
@@ -257,12 +258,10 @@ class TestRestlessBlock:
             T = sys.v + 6
             access = (g.random(T) < 0.7).astype(int)
             acks = (g.random(T) < 0.6).astype(int)
-            trace = run_block_restless(
-                sys, T, access, lambda t: int(acks[t]), x0, x0
-            )
+            trace = run_block_restless(sys, acks & access, x0)
             assert np.allclose(trace.states_x, trace.estimates_xhat, atol=1e-8)
-            assert trace.block_controllable == is_block_controllable_restless(
-                trace.acks_S, sys.v
+            assert trace.block_controllable[0] == is_block_controllable_restless(
+                trace.acks_S[0], sys.v
             )
 
 
@@ -275,18 +274,19 @@ class TestRestedBlock:
             slots = g.choice(T, size=sys.v, replace=False)
             acks = np.zeros(T, int)
             acks[slots] = 1
-            trace = run_block_rested(sys, T, np.ones(T, int), lambda t: int(acks[t]), x0, x0)
-            assert trace.block_controllable
-            assert np.allclose(trace.states_x[-1], sys.x_des, atol=1e-8)
+            trace = run_block_rested(sys, acks, x0)
+            assert trace.block_controllable[0]
+            assert np.allclose(trace.states_x[0, -1], sys.x_des, atol=1e-8)
 
     def test_failure_freezes_state_and_estimate(self):
         g = rng(20)
         sys, x0 = random_range_compatible_system(g)
         T = 5
-        trace = run_block_rested(sys, T, np.ones(T, int), lambda t: 0, x0, x0)
+        trace = run_block_rested(sys, np.zeros(T, int), x0)
         for t in range(T):
-            assert np.allclose(trace.states_x[t + 1], trace.states_x[t], atol=1e-9)
-            assert np.allclose(trace.estimates_xhat[t + 1], trace.estimates_xhat[t], atol=1e-12)
+            assert np.allclose(trace.states_x[0, t + 1], trace.states_x[0, t], atol=1e-9)
+            assert np.allclose(trace.estimates_xhat[0, t + 1], trace.estimates_xhat[0, t],
+                               atol=1e-12)
 
     def test_retransmission_index_sequence(self):
         # acks 0,1,0,1,...: delivered plan rows are 0,1,2,... in order, each
@@ -294,17 +294,17 @@ class TestRestedBlock:
         sys = default_system_for(3)
         x0 = np.array([1.0, 2.0, 3.0])
         pattern = [0, 1, 0, 1, 0, 1, 0, 1]
-        trace = run_block_rested(sys, 8, np.ones(8, int), lambda t: pattern[t], x0, x0)
+        trace = run_block_rested(sys, pattern, x0)
         plan = design_inputs(sys, x0)
         success_slots = [t for t in range(8) if pattern[t]]
         # first v acks deliver plan rows 0,1,2; the last ack is dummy data and
         # the actuator stays on feedback
         for j, t in enumerate(success_slots[: sys.v]):
-            assert np.allclose(trace.inputs_applied[t], plan[j], atol=1e-12)
+            assert np.allclose(trace.inputs_applied[0, t], plan[j], atol=1e-12)
         t_dummy = success_slots[sys.v]
         assert np.allclose(
-            trace.inputs_applied[t_dummy],
-            feedback_input(sys, trace.states_x[t_dummy]),
+            trace.inputs_applied[0, t_dummy],
+            feedback_input(sys, trace.states_x[0, t_dummy]),
             atol=1e-12,
         )
 
@@ -315,10 +315,10 @@ class TestRestedBlock:
             T = sys.v + 6
             access = (g.random(T) < 0.7).astype(int)
             acks = (g.random(T) < 0.6).astype(int)
-            trace = run_block_rested(sys, T, access, lambda t: int(acks[t]), x0, x0)
+            trace = run_block_rested(sys, acks & access, x0)
             assert np.allclose(trace.states_x, trace.estimates_xhat, atol=1e-8)
-            assert trace.block_controllable == is_block_controllable_rested(
-                trace.acks_S, sys.v
+            assert trace.block_controllable[0] == is_block_controllable_rested(
+                trace.acks_S[0], sys.v
             )
 
     def test_rested_weaker_than_restless(self):
@@ -329,3 +329,148 @@ class TestRestedBlock:
             acks = (g.random(T) < 0.5).astype(int)
             if is_block_controllable_restless(acks, v):
                 assert is_block_controllable_rested(acks, v)
+
+
+def reference_restless(sys, access, acks, x0, w):
+    """Per-slot scalar restless block with the typical pair's access draws
+    (acks inside access) and process noise w[t]: redesign on an accessed slot
+    with the burst at 0, send plan[L] until v consecutive acks, hold with
+    u_bar afterwards; an idle slot resets an open burst."""
+    x, xh = x0.copy(), x0.copy()
+    states, estimates, inputs = [x], [xh], []
+    plan, L, completed = None, 0, False
+    for t in range(len(acks)):
+        held = completed
+        sent = None
+        if access[t] and not completed:
+            if L == 0:
+                plan = design_inputs(sys, xh)
+            sent = plan[L]
+            L = int(acks[t]) * (L + 1)
+            completed = L == sys.v
+        elif not completed:
+            L = 0
+        if held:
+            u = holding_input(sys)
+        elif sent is not None and acks[t]:
+            u = sent
+        else:
+            u = np.zeros(sys.m)
+        x = sys.A @ x + sys.B @ u + w[t]
+        xh = sys.A @ xh + sys.B @ u
+        states.append(x)
+        estimates.append(xh)
+        inputs.append(u)
+    return np.array(states), np.array(estimates), np.array(inputs), L
+
+
+def reference_rested(sys, access, acks, x0, w):
+    """Per-slot scalar rested block with process noise w[t]: one design at
+    the start, plan[Lam] on each of the first v acks, state feedback on
+    every other slot (the estimate stays put there)."""
+    x, xh = x0.copy(), x0.copy()
+    states, estimates, inputs = [x], [xh], []
+    plan, Lam = design_inputs(sys, xh), 0
+    for t in range(len(acks)):
+        if access[t] and acks[t] and Lam < sys.v:
+            u = plan[Lam]
+            Lam += 1
+            xh = sys.A @ xh + sys.B @ u
+        else:
+            u = feedback_input(sys, x)
+        x = sys.A @ x + sys.B @ u + w[t]
+        states.append(x)
+        estimates.append(xh)
+        inputs.append(u)
+    return np.array(states), np.array(estimates), np.array(inputs), Lam
+
+
+def scan_runs(acks):
+    run = best = 0
+    for s in acks:
+        run = run + 1 if s else 0
+        best = max(best, run)
+    return best
+
+
+class TestBatchedLoopsAgainstReference:
+    """The batched loops against the per-slot scalar loops above, on rows that
+    mix random, all-zero and all-one acknowledgments and idle slots."""
+
+    @staticmethod
+    def cases():
+        g = rng(31)
+        systems = [random_range_compatible_system(g)[0] for _ in range(40)]
+        # v = 1 plants: a scalar Jordan block and A = 0.5 I
+        systems += [default_system_for(1), LtiSystem(0.5 * np.eye(2), np.eye(2), [1.0, -2.0])]
+        for k, sys in enumerate(systems):
+            n_blocks = 1 if k % 5 == 0 else int(g.integers(2, 9))
+            T = sys.v + int(g.integers(1, 9))
+            access = g.random((n_blocks, T)) < 0.8
+            acks = access & (g.random((n_blocks, T)) < 0.6)
+            if n_blocks >= 3:
+                acks[0], access[1], acks[1] = False, True, True
+            x0 = sys.x_des + g.normal(size=(n_blocks, sys.n))
+            yield sys, access, acks, x0
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.05])
+    @pytest.mark.parametrize("discipline", ["restless", "rested"])
+    def test_matches_scalar_reference(self, discipline, noise_std):
+        run, reference = {
+            "restless": (run_block_restless, reference_restless),
+            "rested": (run_block_rested, reference_rested),
+        }[discipline]
+        for k, (sys, access, acks, x0) in enumerate(self.cases()):
+            sys = LtiSystem(sys.A, sys.B, sys.x_des, v=sys.v, process_noise_std=noise_std)
+            n_blocks, T = acks.shape
+            # the loop draws one (B, n) noise array per slot, in slot order
+            w = rng(100 + k).normal(0.0, noise_std, (T, n_blocks, sys.n))
+            trace = run(sys, acks, x0, rng(100 + k))
+            assert trace.states_x.shape == (n_blocks, T + 1, sys.n)
+            assert trace.inputs_applied.shape == (n_blocks, T, sys.m)
+            for b in range(n_blocks):
+                states, estimates, inputs, counter = reference(
+                    sys, access[b], acks[b], x0[b], w[:, b])
+                np.testing.assert_allclose(trace.states_x[b], states, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(trace.estimates_xhat[b], estimates,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(trace.inputs_applied[b], inputs,
+                                           rtol=1e-12, atol=1e-12)
+                total, longest = int(acks[b].sum()), scan_runs(acks[b])
+                assert np.array_equal(trace.acks_S[b], acks[b].astype(np.uint8))
+                assert trace.success_count_Lambda[b] == total
+                if discipline == "restless":
+                    assert trace.burst_L_final[b] == counter
+                    assert trace.block_controllable[b] == (longest >= sys.v)
+                else:
+                    assert counter == min(total, sys.v)
+                    assert trace.burst_L_final[b] == min(longest, sys.v)
+                    assert trace.block_controllable[b] == (total >= sys.v)
+
+    @pytest.mark.parametrize("run", [run_block_restless, run_block_rested])
+    def test_one_dimensional_acks_is_one_row(self, run):
+        sys = default_system_for(3)
+        acks = [0, 1, 1, 1, 0, 1, 1, 1]
+        x0 = np.array([2.0, -1.0, 0.5])
+        one = run(sys, acks, x0)
+        two = run(sys, np.array([acks]), x0[None, :])
+        assert one.states_x.shape == (1, len(acks) + 1, 3)
+        for field in ("acks_S", "states_x", "estimates_xhat", "inputs_applied",
+                      "burst_L_final", "success_count_Lambda", "block_controllable"):
+            assert np.array_equal(getattr(one, field), getattr(two, field))
+
+    def test_row_laws_match_one_state(self):
+        g = rng(33)
+        sys, _ = random_range_compatible_system(g)
+        xs = g.normal(size=(5, sys.n))
+        us = g.normal(size=(5, sys.m))
+        batch_plan = design_inputs(sys, xs)
+        batch_fb = feedback_input(sys, xs)
+        batch_next = propagate(sys, xs, us)
+        for b in range(5):
+            np.testing.assert_allclose(batch_plan[b], design_inputs(sys, xs[b]),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(batch_fb[b], feedback_input(sys, xs[b]),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(batch_next[b], sys.A @ xs[b] + sys.B @ us[b],
+                                       rtol=1e-12, atol=1e-12)

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from alohactrl import control, montecarlo
 from alohactrl.aloha import Protocol
 from alohactrl.bandit import run_ts
+from alohactrl.cli import main as cli_main
+from alohactrl.config import load_config
 from alohactrl.channel import ChannelParams, cond_success_prob_classical, default_channel
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 from alohactrl.montecarlo import (
@@ -157,9 +162,79 @@ class TestEstimateBlockControllability:
                 ExperimentConfig(**{**cfg.__dict__, "state_level": True})
             )
         }
+        # the state-level loops run on the ack-level stream of the same seed
         for system in ("restless", "rested"):
-            tol = 3.0 * math.hypot(ack[system].half_width_95, state[system].half_width_95)
-            assert abs(ack[system].estimate - state[system].estimate) < max(tol, 0.02)
+            assert state[system].estimate == ack[system].estimate
+
+
+class TestStateLevel:
+    """The controller/actuator loops on a fig2-shaped point."""
+
+    @staticmethod
+    def fig2_point(**kw):
+        cfg = load_config("fig2", ["q_values=[0.5]", "protocol=block"])
+        return replace(cfg, state_level=True, **{"num_realizations": 600, **kw})
+
+    @staticmethod
+    def traced_run(monkeypatch, cfg):
+        """Run one state-level sweep, keeping every trace the loops return."""
+        traces = {"restless": [], "rested": []}
+        for system, run in (("restless", control.run_block_restless),
+                            ("rested", control.run_block_rested)):
+            def spy(*args, run=run, kept=traces[system], **kwargs):
+                trace = run(*args, **kwargs)
+                kept.append(trace)
+                return trace
+            monkeypatch.setattr(montecarlo, f"run_block_{system}", spy)
+        results = estimate_block_controllability(cfg)
+        monkeypatch.undo()
+        return results, traces
+
+    def test_flagged_blocks_end_at_target(self, monkeypatch):
+        cfg = self.fig2_point()
+        _, traces = self.traced_run(monkeypatch, cfg)
+        target = default_system_for(cfg.v).x_des
+        for system in ("restless", "rested"):
+            (trace,) = traces[system]
+            flagged = trace.block_controllable
+            assert 0 < np.count_nonzero(flagged) < cfg.num_realizations
+            miss = np.abs(trace.states_x[:, -1] - target).max(axis=1)
+            assert np.all(miss[flagged] <= 1e-9)
+            assert np.all(miss[~flagged] > 1e-9)
+
+    def test_process_noise_moves_states_not_flags(self, monkeypatch):
+        quiet, quiet_traces = self.traced_run(monkeypatch, self.fig2_point())
+        noisy, noisy_traces = self.traced_run(
+            monkeypatch, self.fig2_point(process_noise_std=0.1))
+        assert [r.estimate for r in noisy] == [r.estimate for r in quiet]
+        for system in ("restless", "rested"):
+            (a,), (b,) = quiet_traces[system], noisy_traces[system]
+            assert np.array_equal(a.block_controllable, b.block_controllable)
+            assert np.array_equal(a.states_x[:, 0], b.states_x[:, 0])
+            # a noisy state differs from the noiseless one by O(0.1)
+            assert np.abs(a.states_x[:, 1:] - b.states_x[:, 1:]).min() > 0.0
+            assert np.abs(a.states_x[:, -1] - b.states_x[:, -1]).mean() > 0.01
+
+    def test_csv_identical_across_threads(self, tmp_path):
+        common = ["simulate", "--config", "fig2", "--set", "state_level=true",
+                  "--set", "num_realizations=300"]
+        cli_main([*common, "--out", str(tmp_path / "t1"), "--threads", "1"])
+        cli_main([*common, "--out", str(tmp_path / "t2"), "--threads", "2"])
+        assert (tmp_path / "t1" / "sweep.csv").read_bytes() == \
+            (tmp_path / "t2" / "sweep.csv").read_bytes()
+
+    def test_memory_bounded_by_chunks(self):
+        # 20,000 blocks in chunks of CHUNK_BLOCKS peak at about 20 MB, the
+        # ack kernel's own chunk peak; the traces of all 20,000 blocks at
+        # once would peak at about 47 MB
+        cfg = self.fig2_point(num_realizations=20_000)
+        tracemalloc.start()
+        try:
+            estimate_block_controllability(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestCompare:
