@@ -25,7 +25,7 @@ for name, runner in (("restless", run_block_restless), ("rested", run_block_rest
     err = np.linalg.norm(trace.states_x[0] - sys.x_des, axis=1)
     print(f"\n{name}: acks={[int(s) for s in trace.acks_S[0]]}")
     print(f"  block controllable: {bool(trace.block_controllable[0])} "
-          f"(burst {trace.burst_L_final[0]}, total {trace.success_count_Lambda[0]})")
+          f"(burst {trace.burst_L_final[0]}, total {trace.acks_S[0].sum()})")
     print("  |x(t) - x_des| per slot:", np.array2string(err, precision=3))
 
 print("\nThe rested loop reaches the target from 3 scattered successes; the "

@@ -2,9 +2,10 @@
 
 For each reliability target beta, the meta distribution is the fraction of
 network realizations whose per-realization chance of v successes in a block
-reaches beta. The characteristic-function inversion (complex success-
-probability moments of imaginary order) is compared against the empirical
-fraction over sampled geometries.
+reaches beta, P(P >= p*). The analytic value reads it off the exact law of
+the success probability P, computed by one FFT of the compound-Poisson law
+of -ln P, and is compared against the empirical fraction over sampled
+geometries.
 """
 
 from alohactrl import ChannelParams, MetaQuery, PppConfig, QuadratureSpec
@@ -21,7 +22,7 @@ cfg = ExperimentConfig(ppp=ppp, channel=params, T=T, v=v,
                        num_realizations=4000, seed=55)
 
 print(f"rested system, q={q}, T={T}, v={v}, lambda={lam:g}\n")
-print("protocol   | beta | inversion | empirical (4000 realizations)")
+print("protocol   | beta | FFT law   | empirical (4000 realizations)")
 print("-----------+------+-----------+------------------------------")
 for protocol in (Protocol.CLASSICAL, Protocol.BLOCK):
     for beta in (0.5, 0.7, 0.9):

@@ -61,7 +61,6 @@ from .geometry import (
 )
 from .montecarlo import (
     ExperimentConfig,
-    Mode,
     SweepResult,
     compare_analytic_empirical,
     estimate_block_controllability,

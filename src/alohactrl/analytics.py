@@ -10,16 +10,18 @@ Implements, for the typical pair of a Poisson bipolar network:
 * the averaged restless block-controllability probability (moment expansion
   of the run tail);
 * binomial tails, their inverse thresholds, and the rested-system meta
-  distribution by numerical inversion of complex moments (Gil-Pelaez).
+  distribution P(P >= p*) (Haenggi, IEEE TWC 2016) from the exact law of P:
+  inside the window, S = -ln(P/p0) is a compound-Poisson sum of i.i.d.
+  jumps with a closed-form CDF, so one FFT gives it (Embrechts and Frei,
+  Math. Methods Oper. Res. 2009).
 
-All quadratures are windowed at `QuadratureSpec.outer_limit`; an infinite
-window (`math.inf`) is accepted only for path-loss exponents > 2, where the
-improper integrals converge.
+All integrals are windowed at `QuadratureSpec.outer_limit`; an infinite
+window (`math.inf`) is accepted only for path-loss exponents > 2 and not by
+the meta distribution.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import fft, integrate, special
 
 from .aloha import Protocol
 from .channel import ChannelParams, suppression_factors
@@ -56,7 +58,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Window and tolerance control for the radial and inversion integrals."""
+    """Window and tolerance control for the radial integrals."""
 
     outer_limit: float
     rel_tol: float = 1e-8
@@ -178,7 +180,7 @@ def _quad_checked(func, lo, hi, quad: QuadratureSpec) -> float:
 
 
 def interference_log_integral(
-    order, q: float, lam: float, channel: ChannelParams,
+    order: int, q: float, lam: float, channel: ChannelParams,
     quad: QuadratureSpec, protocol: Protocol, *, r0: float,
 ):
     """log of the PGFL interference factor for the given moment order.
@@ -186,32 +188,15 @@ def interference_log_integral(
     Returns -2 pi lam_eff * Int_0^L (1 - base(z)^order) z dz, where the
     thinned intensity lam_eff is q*lam for block ALOHA (only active
     interferers enter the product) and lam for classical ALOHA (the
-    per-slot thinning sits inside the base). Real for integer orders,
-    complex for imaginary orders js.
+    per-slot thinning sits inside the base).
     """
     protocol = Protocol(protocol)
     _check_window(quad, channel)
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     lam_eff = q * lam if protocol is Protocol.BLOCK else lam
-    is_complex = isinstance(order, complex)
     if lam_eff == 0.0 or order == 0:
-        return 0j if is_complex else 0.0
-
-    if is_complex:
-        def make(part):
-            def f(z):
-                b = float(_base_factor(z, q, channel, r0, protocol))
-                lnb = math.log(b) if b > 0.0 else -745.0
-                w = order * lnb
-                val = 1.0 - complex(math.exp(w.real) * math.cos(w.imag),
-                                    math.exp(w.real) * math.sin(w.imag))
-                return part(val) * z
-            return f
-
-        real = _quad_checked(make(lambda c: c.real), 0.0, quad.outer_limit, quad)
-        imag = _quad_checked(make(lambda c: c.imag), 0.0, quad.outer_limit, quad)
-        return -2.0 * math.pi * lam_eff * complex(real, imag)
+        return 0.0
 
     def f(z):
         return (1.0 - float(_base_factor(z, q, channel, r0, protocol)) ** order) * z
@@ -249,7 +234,8 @@ def prob_block_controllable_restless(
     Expectation of the de Moivre tail over the success-probability
     distribution, expanded into moments; the block-ALOHA value carries the
     typical pair's access factor q up front, the classical value keeps q
-    inside the moments.
+    inside the moments. Raises `QuadratureError` when the alternating sum
+    cancels to below 1e-6 of its largest term.
     """
     protocol = Protocol(protocol)
     if not 1 <= v <= T:
@@ -283,10 +269,10 @@ def prob_block_controllable_restless(
     total = math.fsum(terms)
     largest = max(abs(t) for t in terms)
     if total != 0.0 and largest / abs(total) > 1e6:
-        warnings.warn(
+        raise QuadratureError(
             f"alternating-sum cancellation {largest / abs(total):.2e}x the result; "
-            "precision loss likely",
-            RuntimeWarning,
+            "the moment expansion has lost its precision",
+            largest * quad.rel_tol,
         )
     if protocol is Protocol.BLOCK:
         total *= q
@@ -340,239 +326,63 @@ def inverse_tail_threshold(
 
 
 # ---------------------------------------------------------------------------
-# Meta distribution via Gil-Pelaez inversion
+# Meta distribution: the law of P by compound-Poisson FFT
 # ---------------------------------------------------------------------------
 
-# (s, node) pairs per row chunk in `_RadialGrid.exponent`; the chunk's one
-# complex buffer is 16 MB whatever the batch size.
-_EXPONENT_CHUNK_ELEMS = 1 << 20
+# Default grid step of S = -ln(P/p0), the cap on the cells of the coarse grid
+# on [0, s*] (the fine grid has twice as many), and the largest accepted gap
+# between the coarse and the fine value.
+_META_STEP = 1e-4
+_META_MAX_CELLS = 1 << 16
+_META_TOL = 2e-3
+# The exponential tilt keeps the mass wrapping round the FFT below e^-36.
+_WRAP_DECAY = 36.0
 
 
-@functools.lru_cache(maxsize=128)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+def _jump_cdf(t, q, channel: ChannelParams, r0: float, L: float, protocol: Protocol):
+    """P(J <= t) for one interferer's jump J = -ln base(z), z with CDF z^2/L^2.
 
-    Golub-Welsch via `scipy.special.roots_legendre`, O(n^2) where numpy's
-    `leggauss` is O(n^3); cached because grids repeat panel sizes.
+    base(z) >= e^-t holds beyond z(t) = r0 (gamma x_t / (1 - x_t))^(1/alpha),
+    with x_t = 1 - (1 - e^-t)/q_c (q_c = q for classical ALOHA, 1 for block);
+    classical jumps end at -ln(1 - q), where x_t reaches 0.
     """
-    x, w = special.roots_legendre(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    q_c = q if protocol is Protocol.CLASSICAL else 1.0
+    one_minus_x = -np.expm1(-t) / q_c
+    with np.errstate(divide="ignore"):
+        ratio = channel.sinr_threshold_gamma * np.maximum(1.0 - one_minus_x, 0.0) / one_minus_x
+    z2 = r0 * r0 * ratio ** (2.0 / channel.pathloss_exp_alpha)
+    return 1.0 - np.minimum(1.0, z2 / (L * L))
 
 
-def _oscillation(s: np.ndarray, lnb: np.ndarray, wz: np.ndarray) -> np.ndarray:
-    """sum_i wz_i e^{j s ln b_i} for each s, in row chunks of bounded size."""
-    out = np.empty(s.size, dtype=complex)
-    rows = max(1, _EXPONENT_CHUNK_ELEMS // max(lnb.size, 1))
-    buffer = np.empty((min(rows, s.size), lnb.size), dtype=complex)
-    jlnb = 1j * lnb
-    for i in range(0, s.size, rows):
-        phase = buffer[:min(rows, s.size - i)]
-        np.multiply.outer(s[i:i + rows], jlnb, out=phase)
-        out[i:i + rows] = np.exp(phase, out=phase) @ wz
-    return out
+def _log_success_law(s_max: float, cells: int, q: float, lam_eff: float,
+                     channel: ChannelParams, r0: float, quad: QuadratureSpec,
+                     protocol: Protocol):
+    """Atoms of S = -ln(P/p0) at k s_max/cells, k = 0..cells.
 
-
-class _RadialGrid:
-    """Fixed composite Gauss-Legendre grid for the complex-order PGFL exponent.
-
-    Precomputes nodes z_i, weights w_i z_i and log base values so that the
-    exponent X(s) = -2 pi lam_eff Int (1 - base^(js)) z dz can be evaluated
-    for whole arrays of s at once. For a base vanishing at z = 0 (block
-    ALOHA, or classical with q = 1) the log-singular inner region is resolved
-    up to `s_inner` and replaced by its stationary-phase limit beyond.
-
-    The window L must be finite. `exponent` works through the s batch in
-    row chunks of at most `_EXPONENT_CHUNK_ELEMS` (s, node) pairs in one
-    reused complex buffer, so a call needs about 16 MB of working memory
-    beyond its O(len(s) + nodes) inputs and outputs, however large the batch.
+    S sums Poisson(lam_eff pi L^2) i.i.d. jumps. Each grid cell's jump mass
+    is split between its two ends so that the cell's mean is kept: equally
+    (second order in the step), except in the first cell, where the far
+    interferers' many tiny jumps get their exact mean from one quadrature.
+    Jumps beyond the grid are dropped (any one puts S past s_max), so the
+    law is defective. One rfft/irfft pair of the tilted jump law gives it.
     """
-
-    def __init__(self, q, lam_eff, channel, r0, L, protocol, s_cap=4000.0):
-        if math.isinf(L):
-            raise ValueError("meta-distribution inversion requires a finite window")
-        self.lam_eff = float(lam_eff)
-        self.s_cap = float(s_cap)
-        a = channel.pathloss_exp_alpha
-        g = channel.sinr_threshold_gamma
-        base0 = 1.0 - q if (protocol is Protocol.CLASSICAL and q < 1.0) else 0.0
-        vanishing = base0 == 0.0
-        knee = 2.0 * r0 * max(1.0, g) ** (1.0 / a)
-        knee = min(knee, L / 2.0) if L < math.inf else knee
-
-        if vanishing:
-            z_lo = math.sqrt(1e-9 / max(2.0 * math.pi * self.lam_eff, 1e-300))
-            z_lo = min(z_lo, knee / 4.0)
-            # phase-rate bound alpha/z: keep the dropped oscillation below 1e-4
-            self.s_inner = max(
-                100.0,
-                2.0 * (2.0 * math.pi * self.lam_eff) * 2.0 * knee**2 / (a * 1e-4),
-            )
-        else:
-            z_lo = 0.0
-            self.s_inner = self.s_cap
-        self.s_inner = min(self.s_inner, self.s_cap)
-        self._head_mass = 0.5 * z_lo**2  # exact Int_0^{z_lo} z dz
-
-        fn = lambda z: _base_factor(z, q, channel, r0, protocol)
-
-        def panel_nodes(a_, b_, s_res):
-            lna = math.log(max(float(fn(max(a_, 1e-300))), 1e-300))
-            lnb_ = math.log(max(float(fn(b_)), 1e-300))
-            cycles = abs(lnb_ - lna) * s_res / (2.0 * math.pi)
-            return int(max(12, min(4000, math.ceil(4.0 * cycles + 8))))
-
-        def build(panels, s_res):
-            zs, ws = [], []
-            for a_, b_ in panels:
-                n = panel_nodes(a_, b_, s_res)
-                x, w = _gauss_legendre(n)
-                zs.append(0.5 * (b_ - a_) * x + 0.5 * (a_ + b_))
-                ws.append(0.5 * (b_ - a_) * w)
-            return np.concatenate(zs), np.concatenate(ws)
-
-        def geom_panels(a_, b_, ratio):
-            edges = [a_]
-            while edges[-1] * ratio < b_:
-                edges.append(edges[-1] * ratio)
-            edges.append(b_)
-            return list(zip(edges[:-1], edges[1:]))
-
-        inner_panels = geom_panels(max(z_lo, knee * 1e-8), knee, 1.5)
-        z_in, w_in = build(inner_panels, self.s_inner)
-        outer_panels = geom_panels(knee, L, 1.5) if knee < L else []
-        if outer_panels:
-            z_out, w_out = build(outer_panels, self.s_cap)
-        else:
-            z_out = np.empty(0)
-            w_out = np.empty(0)
-
-        with np.errstate(divide="ignore"):
-            self._lnb_in = np.log(np.maximum(fn(z_in), 1e-300))
-            self._lnb_out = np.log(np.maximum(fn(z_out), 1e-300))
-        self._wz_in = w_in * z_in
-        self._wz_out = w_out * z_out
-        self._mass = self._head_mass + self._wz_in.sum() + self._wz_out.sum()
-
-    @property
-    def mean_log_base(self) -> float:
-        """2 pi lam_eff * Int ln(base) z dz (negative)."""
-        return 2.0 * math.pi * self.lam_eff * (
-            float(self._wz_in @ self._lnb_in) + float(self._wz_out @ self._lnb_out)
-        )
-
-    @property
-    def mean_abs_log_base(self) -> float:
-        return 2.0 * math.pi * self.lam_eff * (
-            float(self._wz_in @ np.abs(self._lnb_in))
-            + float(self._wz_out @ np.abs(self._lnb_out))
-        )
-
-    def exponent(self, s: np.ndarray) -> np.ndarray:
-        """X(s) = -2 pi lam_eff * Int (1 - e^{j s ln base}) z dz, vectorized in s."""
-        s = np.asarray(s, dtype=float).ravel()
-        osc_out = _oscillation(s, self._lnb_out, self._wz_out)
-        osc_in = np.zeros(s.shape, dtype=complex)
-        resolved = s <= self.s_inner
-        if np.any(resolved):
-            osc_in[resolved] = _oscillation(s[resolved], self._lnb_in, self._wz_in)
-        # beyond s_inner the inner oscillation integrates to ~0 (stationary phase)
-        integral = self._mass - osc_out - osc_in
-        return -2.0 * math.pi * self.lam_eff * integral
-
-
-@functools.lru_cache(maxsize=16)
-def _radial_grid(q, lam_eff, channel, r0, L, protocol) -> _RadialGrid:
-    """One grid per (q, lam_eff, channel, r0, L, protocol), shared across beta."""
-    return _RadialGrid(q, lam_eff, channel, r0, L, protocol)
-
-
-def _accelerated_limit(values: np.ndarray) -> tuple[float, float]:
-    """Limit of a sequence oscillating around it, by iterated averaging."""
-    x = np.asarray(values, dtype=float)
-    prev = x[-1]
-    est = prev
-    err = math.inf
-    while x.size > 1:
-        x = 0.5 * (x[:-1] + x[1:])
-        est = x[-1]
-        err = abs(est - prev)
-        prev = est
-    return est, err
-
-
-def _gil_pelaez_integral(
-    grid: _RadialGrid, c_noise: float, ln_pstar: float, quad: QuadratureSpec
-) -> float:
-    """Int_0^inf Im(e^{-j s ln p*} zeta(s)) / s ds by oscillation-aware summation."""
-    gp_tol = max(quad.abs_tol * 10.0, 1e-7)
-    drift = ln_pstar + c_noise
-    omega = abs(drift) + grid.mean_abs_log_base
-    h = math.pi / max(omega, 0.05)
-    s_min = 1e-6
-    g0 = grid.mean_log_base - c_noise - ln_pstar
-    total = g0 * s_min  # series value on [0, s_min]
-
-    gl_x, gl_w = _gauss_legendre(10)
-    max_segments = max(4000, 50 * quad.max_subdivisions)
-    batch = 128
-
-    seg_sums: list[float] = []
-    cumulative: list[float] = []
-    extrema: list[float] = []
-    running = total
-    s_left = s_min
-    last_env = 1.0
-
-    def integrand(s):
-        X = grid.exponent(s)
-        w = X - 1j * s * drift
-        return np.imag(np.exp(w)) / s
-
-    n_seg = 0
-    while n_seg < max_segments and s_left < grid.s_cap:
-        edges = s_left + h * np.arange(batch + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * h
-        s_nodes = (mids[:, None] + half * gl_x[None, :]).ravel()
-        vals = integrand(s_nodes).reshape(batch, -1)
-        sums = (vals * gl_w[None, :] * half).sum(axis=1)
-        env = np.exp(np.real(grid.exponent(np.array([edges[-1]]))))[0]
-        last_env = float(env)
-        for v_ in sums:
-            seg_sums.append(float(v_))
-            running += float(v_)
-            cumulative.append(running)
-            if len(seg_sums) >= 2 and seg_sums[-1] * seg_sums[-2] < 0.0:
-                extrema.append(cumulative[-2])
-        n_seg += batch
-        s_left = float(edges[-1])
-
-        if len(extrema) >= 8:
-            est, err = _accelerated_limit(extrema[-14:])
-            if err < gp_tol:
-                return est
-        # non-oscillatory fallback: envelope already negligible
-        if last_env / max(s_left, 1.0) < gp_tol and len(seg_sums) >= 4:
-            recent = max(abs(v_) for v_ in seg_sums[-4:])
-            if recent < gp_tol:
-                return running
-
-    if len(extrema) >= 4:
-        est, err = _accelerated_limit(extrema[-14:])
-        if err < 2e-3:
-            return est
-        raise QuadratureError(
-            f"Gil-Pelaez inversion did not converge (error ~{err:.2e})", err
-        )
-    tail_bound = last_env / max(s_left, 1.0) * h * 10.0
-    if tail_bound < 2e-3:
-        return running
-    raise QuadratureError(
-        f"Gil-Pelaez inversion did not converge (tail bound ~{tail_bound:.2e})",
-        tail_bound,
+    L = quad.outer_limit
+    dt = s_max / cells
+    cdf = _jump_cdf(dt * np.arange(cells + 2), q, channel, r0, L, protocol)
+    mass = np.diff(cdf)
+    jumps = 0.5 * (mass + np.concatenate(([0.0], mass[:-1])))
+    # E[J; J <= dt], with u = z^2/L^2 uniform on (0, 1]
+    head = _quad_checked(
+        lambda u: -math.log(float(_base_factor(L * math.sqrt(u), q, channel, r0, protocol))),
+        1.0 - cdf[1], 1.0, quad,
     )
+    jumps[0] = mass[0] - head / dt
+    jumps[1] = head / dt + 0.5 * mass[1]
+    n_fft = fft.next_fast_len(4 * (cells + 1), real=True)
+    tilt = np.exp(-_WRAP_DECAY / n_fft * np.arange(cells + 1))
+    mu = lam_eff * math.pi * L * L
+    law = fft.irfft(np.exp(mu * (fft.rfft(jumps * tilt, n_fft) - 1.0)), n_fft)
+    return law[:cells + 1] / tilt
 
 
 def meta_distribution_rested(
@@ -581,32 +391,37 @@ def meta_distribution_rested(
     """Fraction of network realizations whose per-realization success tail
     reaches the reliability target beta.
 
-    Evaluates P(P >= p*) for the conditional success probability P via
-    characteristic-function inversion; returns 0 when no threshold p* in
-    [0, 1] can meet beta (block ALOHA with q < beta).
+    Evaluates P(P >= p*) = P(S <= s*), s* = ln(p0/p*), from the law of
+    S = -ln(P/p0) on grids of step dt and dt/2 over the window
+    `quad.outer_limit`; the gap between the two is the error estimate, and
+    `QuadratureError` is raised when it exceeds 2e-3. Returns 0 when no
+    threshold p* in [0, 1] can meet beta (block ALOHA with q < beta).
     """
     protocol = Protocol(protocol)
-    _check_window(quad, query.channel)
     if math.isinf(quad.outer_limit):
-        raise ValueError("meta-distribution inversion requires a finite window")
+        raise ValueError("meta distribution requires a finite window")
     pstar = inverse_tail_threshold(query.T, query.v, query.q, query.beta, protocol)
     if pstar is None:
         return 0.0
-    c_noise = query.channel.noise_exponent(query.r0)
-    p0 = query.channel.noise_success_factor(query.r0)
-    lam_eff = (
-        query.q * query.intensity_lambda
-        if protocol is Protocol.BLOCK
-        else query.intensity_lambda
-    )
+    lam_eff = query.intensity_lambda * (query.q if protocol is Protocol.BLOCK else 1.0)
     if pstar <= 1e-300:
         return 1.0
-    if lam_eff == 0.0:
-        # deterministic success probability: point-mass CCDF
-        return 1.0 if p0 >= pstar else 0.0
+    s_star = -query.channel.noise_exponent(query.r0) - math.log(pstar)
+    if lam_eff == 0.0:  # deterministic success probability: point-mass CCDF
+        return 1.0 if s_star >= 0.0 else 0.0
+    if s_star <= 0.0:  # P >= p0 only without interferers
+        return math.exp(-lam_eff * math.pi * quad.outer_limit**2) if s_star == 0.0 else 0.0
 
-    grid = _radial_grid(
-        query.q, lam_eff, query.channel, query.r0, quad.outer_limit, protocol
-    )
-    integral = _gil_pelaez_integral(grid, c_noise, math.log(pstar), quad)
-    return float(min(1.0, max(0.0, 0.5 + integral / math.pi)))
+    cells = min(_META_MAX_CELLS, math.ceil(s_star / _META_STEP))
+    values = []
+    for n in (cells, 2 * cells):
+        law = _log_success_law(s_star, n, query.q, lam_eff, query.channel, query.r0,
+                               quad, protocol)
+        # half the end atom: the CDF at s* stays second order in the step
+        values.append(float(law[:-1].sum() + 0.5 * law[-1]))
+    coarse, fine = values
+    error = abs(fine - coarse)
+    if error > _META_TOL:
+        raise QuadratureError(f"meta distribution grid error {error:.2e} above tolerance",
+                              error)
+    return float(min(1.0, max(0.0, fine)))

@@ -19,7 +19,6 @@ from .bandit import run_ts
 from .config import emit_results, load_config
 from .geometry import sample_ppp
 from .montecarlo import (
-    Mode,
     compare_analytic_empirical,
     estimate_block_controllability,
     estimate_meta_empirical,
@@ -47,12 +46,10 @@ def _csv(header: list[str], rows: list[list]) -> str:
 def _cmd_simulate(config, args) -> dict[str, str]:
     results = estimate_block_controllability(config)
     rows = [
-        [r.protocol.value, r.system, r.q, r.estimate, r.half_width_95, r.analytic]
+        [r.protocol.value, r.system, r.q, r.estimate, r.half_width_95]
         for r in results
     ]
-    return {"sweep.csv": _csv(
-        ["protocol", "system", "q", "estimate", "ci95", "analytic"], rows
-    )}
+    return {"sweep.csv": _csv(["protocol", "system", "q", "estimate", "ci95"], rows)}
 
 
 def _cmd_analytic(config, args) -> dict[str, str]:
@@ -65,16 +62,16 @@ def _cmd_analytic(config, args) -> dict[str, str]:
             value = analytics.prob_block_controllable_restless(
                 config.T, config.v, q, lam, config.channel, quad, protocol, r0=r0
             )
-            rows.append([protocol.value, q, lam, config.T, config.v, None, value, None])
+            rows.append([protocol.value, q, lam, config.T, config.v, None, value])
         for beta in config.beta_values:
             for q in config.q_values:
                 query = analytics.MetaQuery(
                     config.v, beta, config.T, q, lam, config.channel, r0
                 )
                 value = analytics.meta_distribution_rested(query, quad, protocol)
-                rows.append([protocol.value, q, lam, config.T, config.v, beta, value, None])
+                rows.append([protocol.value, q, lam, config.T, config.v, beta, value])
     return {"analytic.csv": _csv(
-        ["protocol", "q", "lambda", "T", "v", "beta", "value", "abs_err_estimate"], rows
+        ["protocol", "q", "lambda", "T", "v", "beta", "value"], rows
     )}
 
 
@@ -161,11 +158,11 @@ def _cmd_regret(config, args) -> dict[str, str]:
 
 
 _COMMANDS = {
-    "simulate": (_cmd_simulate, Mode.CONTROLLABILITY_SWEEP),
-    "analytic": (_cmd_analytic, Mode.ANALYTIC_COMPARE),
-    "ts": (_cmd_ts, Mode.TS_RUN),
-    "compare": (_cmd_compare, Mode.ANALYTIC_COMPARE),
-    "regret": (_cmd_regret, Mode.REGRET_STUDY),
+    "simulate": _cmd_simulate,
+    "analytic": _cmd_analytic,
+    "ts": _cmd_ts,
+    "compare": _cmd_compare,
+    "regret": _cmd_regret,
 }
 
 
@@ -208,12 +205,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    handler, mode = _COMMANDS[args.command]
-    from dataclasses import replace
-
-    config = replace(config, mode=mode)
     start = time.perf_counter()
-    artifacts = handler(config, args)
+    artifacts = _COMMANDS[args.command](config, args)
     elapsed = time.perf_counter() - start
     try:
         written = emit_results(

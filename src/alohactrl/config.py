@@ -28,7 +28,7 @@ from .channel import (
 )
 from .control import LtiSystem
 from .geometry import PppConfig, default_window_radius
-from .montecarlo import ExperimentConfig, Mode
+from .montecarlo import ExperimentConfig
 
 __all__ = ["load_config", "parse_config_text", "resolved_config_text",
            "config_hash", "emit_results", "preset_path", "PRESET_NAMES"]
@@ -42,7 +42,7 @@ _KNOWN_KEYS = {
     "noise_power_dbm", "noise_power_w", "bandwidth_hz", "noise_figure_db",
     "carrier_hz", "rho",
     "protocol", "system", "q", "q_values", "arms",
-    "T", "v", "K", "num_realizations", "seed", "mode",
+    "T", "v", "K", "num_realizations", "seed",
     "process_noise_std", "state_level", "fixed_geometry",
     "beta_values", "threads",
     "A", "B", "x_des",
@@ -207,7 +207,6 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
     if v > T:
         raise ValueError("config key 'v': must not exceed T")
 
-    mode = Mode(data["mode"]) if "mode" in data else Mode.CONTROLLABILITY_SWEEP
     noise_std = _require_number(data, "process_noise_std", lo=0.0) \
         if "process_noise_std" in data else 0.0
 
@@ -238,7 +237,7 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         return ExperimentConfig(
             ppp=ppp, channel=channel, protocols=protocols, systems=systems,
             q_values=q_values, arms=arms, T=T, v=v, K=K,
-            num_realizations=num_realizations, seed=seed, mode=mode,
+            num_realizations=num_realizations, seed=seed,
             process_noise_std=noise_std, state_level=_bool("state_level"),
             fixed_geometry=_bool("fixed_geometry"), beta_values=beta_values,
             threads=threads, plant=plant,
@@ -287,7 +286,6 @@ def resolved_config_text(config: ExperimentConfig) -> str:
         f"K = {config.K}",
         f"num_realizations = {config.num_realizations}",
         f"seed = {config.seed}",
-        f"mode = {config.mode.value}",
         f"process_noise_std = {config.process_noise_std!r}",
         f"state_level = {json.dumps(config.state_level)}",
         f"fixed_geometry = {json.dumps(config.fixed_geometry)}",

@@ -226,7 +226,6 @@ class BlockTrace:
     estimates_xhat: np.ndarray  # (B, T + 1, n)
     inputs_applied: np.ndarray  # (B, T, m)
     burst_L_final: np.ndarray  # (B,)
-    success_count_Lambda: np.ndarray  # (B,)
     block_controllable: np.ndarray  # (B,)
 
 
@@ -293,7 +292,6 @@ def run_block_restless(
         estimates_xhat=estimates,
         inputs_applied=inputs,
         burst_L_final=L,
-        success_count_Lambda=np.count_nonzero(hit, axis=1),
         block_controllable=longest_runs(hit) >= sys.v,
     )
 
@@ -330,13 +328,11 @@ def run_block_rested(
         states[:, t + 1] = x
         estimates[:, t + 1] = xh
 
-    total = np.count_nonzero(hit, axis=1)
     return BlockTrace(
         acks_S=hit.astype(np.uint8),
         states_x=states,
         estimates_xhat=estimates,
         inputs_applied=inputs,
         burst_L_final=np.minimum(longest_runs(hit), sys.v),
-        success_count_Lambda=total,
-        block_controllable=total >= sys.v,
+        block_controllable=np.count_nonzero(hit, axis=1) >= sys.v,
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -38,7 +37,6 @@ from .control import LtiSystem, longest_runs, run_block_rested, run_block_restle
 from .geometry import NetworkRealization, PppConfig, sample_ppp
 
 __all__ = [
-    "Mode",
     "ExperimentConfig",
     "SweepResult",
     "CompareRow",
@@ -56,13 +54,6 @@ __all__ = [
 CHUNK_BLOCKS = 4096
 
 
-class Mode(str, Enum):
-    CONTROLLABILITY_SWEEP = "simulate"
-    TS_RUN = "ts"
-    ANALYTIC_COMPARE = "compare"
-    REGRET_STUDY = "regret"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment."""
@@ -78,7 +69,6 @@ class ExperimentConfig:
     K: int = 1
     num_realizations: int = 10000
     seed: int = 0
-    mode: Mode = Mode.CONTROLLABILITY_SWEEP
     process_noise_std: float = 0.0
     state_level: bool = False
     fixed_geometry: bool = False
@@ -92,7 +82,6 @@ class ExperimentConfig:
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
         object.__setattr__(self, "arms", tuple(float(a) for a in self.arms))
         object.__setattr__(self, "beta_values", tuple(float(b) for b in self.beta_values))
-        object.__setattr__(self, "mode", Mode(self.mode))
         for name in ("T", "v", "K", "num_realizations", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -117,7 +106,6 @@ class SweepResult:
     estimate: float
     half_width_95: float
     n_samples: int
-    analytic: Optional[float] = None
 
 
 @dataclass
@@ -343,8 +331,6 @@ def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
     as one lockstep `run_ts` call on a stream from one further child, so the
     result does not depend on `threads`.
     """
-    if config.mode is not Mode.REGRET_STUDY and config.mode is not Mode.TS_RUN:
-        raise ValueError("run_regret_study expects a regret/ts mode config")
     D = len(config.arms)
     K = config.K
     root = np.random.SeedSequence(config.seed)

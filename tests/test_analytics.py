@@ -11,10 +11,9 @@ from alohactrl import analytics
 from alohactrl.aloha import Protocol
 from alohactrl.analytics import (
     MetaQuery,
+    QuadratureError,
     QuadratureSpec,
-    _gauss_legendre,
-    _radial_grid,
-    _RadialGrid,
+    _log_success_law,
     binomial_tail,
     interference_log_integral,
     inverse_tail_threshold,
@@ -273,26 +272,24 @@ class TestRestlessProbability:
 
 class TestNumericalFailureContract:
     def test_quadrature_error_carries_estimate(self):
-        from alohactrl.analytics import QuadratureError
-
         # starve the adaptive quadrature so it cannot meet the tolerance
         quad = QuadratureSpec(outer_limit=5000.0, rel_tol=1e-13, abs_tol=1e-16,
                               max_subdivisions=1)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="did not converge"):
             interference_log_integral(
-                complex(0.0, 60.0), 1.0, 1e-4, unit_params(), quad,
-                Protocol.BLOCK, r0=10.0,
+                1, 1.0, 1e-4, unit_params(), quad, Protocol.BLOCK, r0=10.0,
             )
 
     def test_cancellation_warning(self):
         # long blocks with v=1 produce huge alternating binomial terms; the
-        # precision-loss monitor must flag the collapse
+        # precision-loss monitor must fail rather than return a clamped value
         params = unit_params(N0=0.0)
         quad = QuadratureSpec(outer_limit=500.0)
-        with pytest.warns(RuntimeWarning, match="cancellation"):
+        with pytest.raises(QuadratureError, match="cancellation") as info:
             prob_block_controllable_restless(
                 64, 1, 0.9, 5e-4, params, quad, Protocol.BLOCK, r0=10.0
             )
+        assert info.value.error_estimate > 0.0
 
 
 class TestInverseTailThreshold:
@@ -396,44 +393,11 @@ class TestMetaDistribution:
             hits += cond_success_prob_block(real, active, params) >= pstar
         assert abs(analytic - hits / n) < 0.02
 
-    def test_grid_exponent_matches_quadrature(self):
-        # the fixed radial grid agrees with adaptive quadrature of the
-        # complex-order integrand at several inversion frequencies
-        lam, q, r0, R = 1e-4, 0.7, 10.0, 500.0
-        params = unit_params()
-        quad = QuadratureSpec(outer_limit=R)
-        grid = _RadialGrid(q, q * lam, params, r0, R, Protocol.BLOCK)
-        for s in (0.5, 2.0, 10.0, 40.0):
-            want = interference_log_integral(
-                complex(0.0, s), q, lam, params, quad, Protocol.BLOCK, r0=r0
-            )
-            got = grid.exponent(np.array([s]))[0]
-            assert abs(got - want) < 2e-4, (s, got, want)
-
-    def test_grid_shared_across_beta(self, monkeypatch):
-        # the radial grid does not depend on beta: a second beta at the same
-        # q reuses the first one's grid
-        builds = []
-        build = _RadialGrid.__init__
-
-        def counting_build(grid, *args, **kwargs):
-            builds.append(args)
-            build(grid, *args, **kwargs)
-
-        monkeypatch.setattr(_RadialGrid, "__init__", counting_build)
-        _radial_grid.cache_clear()
-        params = unit_params()
-        quad = QuadratureSpec(outer_limit=500.0)
-        for beta in (0.5, 0.9):
-            query = MetaQuery(4, beta, 20, 0.7, 1e-4, params, 10.0)
-            meta_distribution_rested(query, quad, Protocol.CLASSICAL)
-        assert len(builds) == 1
-
     def test_infinite_window_rejected_before_grid(self, monkeypatch):
-        def no_grid(*args):
-            raise AssertionError("radial grid built for an infinite window")
+        def no_law(*args):
+            raise AssertionError("FFT law computed for an infinite window")
 
-        monkeypatch.setattr(analytics, "_radial_grid", no_grid)
+        monkeypatch.setattr(analytics, "_log_success_law", no_law)
         quad = QuadratureSpec(outer_limit=math.inf)
         for q in (0.7, 0.5):  # q = 0.5 < beta has no threshold p*
             query = MetaQuery(4, 0.6, 20, q, 1e-4, unit_params(alpha=4.0), 10.0)
@@ -441,59 +405,101 @@ class TestMetaDistribution:
                 meta_distribution_rested(query, quad, Protocol.BLOCK)
 
 
-class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [10, 12, 257, 1500])
-    def test_matches_leggauss(self, n):
-        x, w = _gauss_legendre(n)
-        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-        assert np.max(np.abs(x - x_ref)) < 1e-12
-        assert np.max(np.abs(w - w_ref)) < 1e-12
-
-    def test_read_only(self):
-        x, w = _gauss_legendre(12)
-        assert not x.flags.writeable and not w.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 0.0
+def fig4_point(q, beta=0.9):
+    config = load_config("fig4")
+    ppp = config.ppp
+    query = MetaQuery(config.v, beta, config.T, q, ppp.intensity_lambda, config.channel,
+                      ppp.typical_distance_r0)
+    return query, QuadratureSpec(outer_limit=ppp.window_radius_R)
 
 
-class TestChunkedExponent:
-    @staticmethod
-    def one_shot(grid, s):
-        osc_out = np.exp(1j * np.outer(s, grid._lnb_out)) @ grid._wz_out
-        osc_in = np.exp(1j * np.outer(s, grid._lnb_in)) @ grid._wz_in
-        osc_in[s > grid.s_inner] = 0.0
-        return -2.0 * math.pi * grid.lam_eff * (grid._mass - osc_out - osc_in)
+class TestLawOfP:
+    """The compound-Poisson FFT law of S = -ln(P/p0) behind the meta distribution."""
 
-    @pytest.mark.parametrize("lam", [1e-4, 1e-6])
-    def test_matches_one_shot(self, lam, monkeypatch):
-        # a small chunk budget splits the batch into many chunks and a
-        # partial last one; lam = 1e-6 puts s_inner below s_cap, so part of
-        # the batch takes the stationary-phase branch
-        q, r0, R = 0.7, 10.0, 500.0
-        grid = _RadialGrid(q, q * lam, unit_params(), r0, R, Protocol.BLOCK)
-        s = np.linspace(0.01, 300.0, 301)
-        monkeypatch.setattr(analytics, "_EXPONENT_CHUNK_ELEMS", 5 * grid._lnb_in.size + 1)
-        if lam == 1e-6:
-            assert 0.01 < grid.s_inner < 300.0 < grid.s_cap
-        got = grid.exponent(s)
-        want = self.one_shot(grid, s)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    @pytest.mark.parametrize("point", ["fig4 q=0.7", "fig4 q=0.95", "alpha=4 q=0.7"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_moments_match_moment_zeta(self, protocol, point):
+        # E[P^l] = p0^l E[e^{-l S}] from the law on [0, 20] at dt = 1e-4; the
+        # law's mass beyond 20 weighs at most e^-20. At alpha = 4 most jumps
+        # lie below one step, so the first cell's mean split matters.
+        if point.startswith("fig4"):
+            query, quad = fig4_point(float(point[-3:]))
+        else:
+            query = MetaQuery(4, 0.7, 20, 0.7, 1e-4, unit_params(), 10.0)
+            quad = QuadratureSpec(outer_limit=500.0)
+        q, lam = query.q, query.intensity_lambda
+        lam_eff = q * lam if protocol is Protocol.BLOCK else lam
+        s_max, cells = 20.0, 200_000
+        law = _log_success_law(s_max, cells, q, lam_eff, query.channel, query.r0,
+                               quad, protocol)
+        s = s_max / cells * np.arange(cells + 1)
+        p0 = query.channel.noise_success_factor(query.r0)
+        access = q if protocol is Protocol.CLASSICAL else 1.0
+        for l in (1, 2, 4):
+            got = (access * p0) ** l * float(law @ np.exp(-l * s))
+            want = moment_zeta(l, q, lam, query.channel, quad, protocol, r0=query.r0)
+            assert abs(got - want) < 1e-3, (l, got, want)
 
-    def test_memory_bounded_on_fig4_block_grid(self):
-        # the block q = 0.95 fig4 grid has about 45k inner nodes; a one-shot
-        # 1280-value batch needs about 1.9 GB of complex temporaries
-        config = load_config("fig4")
-        q, ppp = 0.95, config.ppp
-        grid = _RadialGrid(
-            q, q * ppp.intensity_lambda, config.channel, ppp.typical_distance_r0,
-            ppp.window_radius_R, Protocol.BLOCK,
-        )
-        assert grid._lnb_in.size > 40_000
-        s = np.linspace(1e-3, grid.s_inner, 1280)
+    def test_classical_q_one_equals_block(self):
+        for beta in (0.5, 0.9):
+            query, quad = fig4_point(1.0, beta)
+            block = meta_distribution_rested(query, quad, Protocol.BLOCK)
+            classical = meta_distribution_rested(query, quad, Protocol.CLASSICAL)
+            assert 0.5 < block < 1.0
+            assert classical == pytest.approx(block, abs=1e-12)
+
+    @pytest.mark.parametrize("protocol, q, previous", [
+        (Protocol.BLOCK, 0.7, 0.0),
+        (Protocol.BLOCK, 0.95, 0.977360),
+        (Protocol.CLASSICAL, 0.7, 0.985656),
+        (Protocol.CLASSICAL, 0.95, 0.981068),
+    ])
+    def test_fig4_values_match_characteristic_function_inversion(self, protocol, q, previous):
+        # the values the Gil-Pelaez inversion gave at the fig4 compare points
+        query, quad = fig4_point(q)
+        assert abs(meta_distribution_rested(query, quad, protocol) - previous) < 2e-3
+
+    def test_dense_block_point_conditional_monte_carlo(self):
+        # about 157 interferers per realization put most of S past s* and
+        # beyond the FFT length; the wrapped mass must not reach the value.
+        # Oracle: the fraction of sampled windows whose conditional success
+        # probability prod 1/(1 + (r0/z)^2) reaches p*
+        lam, r0, L, beta = 5e-3, 10.0, 100.0, 0.05
+        query = MetaQuery(2, beta, 20, 1.0, lam, unit_params(alpha=2.0), r0)
+        analytic = meta_distribution_rested(query, QuadratureSpec(outer_limit=L),
+                                            Protocol.BLOCK)
+        pstar = inverse_tail_threshold(20, 2, 1.0, beta, Protocol.BLOCK)
+        g = rng(17)
+        n, hits = 200_000, 0
+        for _ in range(10):
+            counts = g.poisson(lam * math.pi * L * L, n // 10)
+            z = L * np.sqrt(g.random(int(counts.sum())))
+            owner = np.repeat(np.arange(counts.size), counts)
+            log_p = np.bincount(owner, np.log1p(-1.0 / (1.0 + (z / r0) ** 2)),
+                                minlength=counts.size)
+            hits += int(np.count_nonzero(log_p >= math.log(pstar)))
+        se = math.sqrt(analytic * (1.0 - analytic) / n)
+        assert 1e-4 < analytic < 1e-3
+        assert abs(analytic - hits / n) < 4.0 * se, (analytic, hits / n, se)
+
+    def test_starved_tolerance_raises_with_estimate(self, monkeypatch):
+        query, quad = fig4_point(0.95)
+        monkeypatch.setattr(analytics, "_META_TOL", 1e-12)
+        with pytest.raises(QuadratureError) as info:
+            meta_distribution_rested(query, quad, Protocol.BLOCK)
+        assert 0.0 < info.value.error_estimate < 2e-3
+
+    def test_memory_bounded_at_tiny_threshold(self):
+        # v = 1 and beta = 1e-12 give p* ~ 1e-12, so s* ~ 28 would need 2.8e5
+        # cells at the default step; the capped grid keeps the point in MB
+        query = MetaQuery(1, 1e-12, 20, 0.7, 1e-4, unit_params(), 10.0)
+        quad = QuadratureSpec(outer_limit=500.0)
+        assert inverse_tail_threshold(20, 1, 0.7, 1e-12, Protocol.CLASSICAL) < 1e-11
         tracemalloc.start()
         try:
-            grid.exponent(s)
+            value = meta_distribution_rested(query, quad, Protocol.CLASSICAL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, peak
+        assert value == pytest.approx(1.0, abs=1e-6)
+        assert peak < 32 * 2**20, peak

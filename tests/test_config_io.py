@@ -16,7 +16,6 @@ from alohactrl.config import (
     preset_path,
     resolved_config_text,
 )
-from alohactrl.montecarlo import Mode
 
 
 class TestParsing:
@@ -85,7 +84,6 @@ class TestPresets:
         assert cfg.T == 20
         assert cfg.v == 4
         assert cfg.ppp.intensity_lambda == pytest.approx(5e-3)
-        assert cfg.mode is Mode.CONTROLLABILITY_SWEEP
         assert len(cfg.q_values) == 10
 
     def test_fig3_regime(self):
@@ -152,7 +150,7 @@ class TestCliEndToEnd:
         )
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "protocol,system,q,estimate,ci95,analytic"
+        assert lines[0] == "protocol,system,q,estimate,ci95"
         assert len(lines) == 1 + 2 * 2 * 2  # protocols x systems x q values
 
     def test_reproducible_across_runs_and_threads(self, tmp_path):
@@ -184,7 +182,7 @@ class TestCliEndToEnd:
         )
         assert code == 0
         lines = (out / "analytic.csv").read_text().splitlines()
-        assert lines[0] == "protocol,q,lambda,T,v,beta,value,abs_err_estimate"
+        assert lines[0] == "protocol,q,lambda,T,v,beta,value"
         # 2 controllability rows + 2 meta rows at beta=0.9
         assert len(lines) == 5
         meta_rows = [l for l in lines[1:] if l.split(",")[5] == "0.9"]

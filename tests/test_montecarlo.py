@@ -14,7 +14,6 @@ from alohactrl.channel import ChannelParams, cond_success_prob_classical, defaul
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
-    Mode,
     compare_analytic_empirical,
     default_system_for,
     estimate_block_controllability,
@@ -268,7 +267,7 @@ class TestMetaEmpirical:
 class TestRegretStudy:
     def test_single_arm_flat_zero(self):
         cfg = small_config(
-            arms=(0.5,), K=50, num_realizations=3, mode=Mode.REGRET_STUDY,
+            arms=(0.5,), K=50, num_realizations=3,
             channel=default_channel(),
         )
         study = run_regret_study(cfg)
@@ -276,8 +275,7 @@ class TestRegretStudy:
 
     def test_curve_below_envelope_and_monotone(self):
         cfg = small_config(
-            arms=(0.2, 0.5, 0.9), K=300, num_realizations=6,
-            mode=Mode.REGRET_STUDY, channel=default_channel(),
+            arms=(0.2, 0.5, 0.9), K=300, num_realizations=6, channel=default_channel(),
         )
         study = run_regret_study(cfg)
         assert np.all(np.diff(study.mean_cumulative) >= -1e-12)
@@ -287,8 +285,7 @@ class TestRegretStudy:
         # realization i comes from child i of the seed, as before the
         # lockstep loop; TS runs on one further child
         cfg = small_config(
-            arms=(0.2, 0.5, 0.9), K=100, num_realizations=5,
-            mode=Mode.REGRET_STUDY, channel=default_channel(),
+            arms=(0.2, 0.5, 0.9), K=100, num_realizations=5, channel=default_channel(),
         )
         root = np.random.SeedSequence(cfg.seed)
         reals = [sample_ppp(cfg.ppp, np.random.Generator(np.random.PCG64(s)))
