@@ -23,7 +23,6 @@ the meta distribution.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -108,30 +107,16 @@ class MetaQuery:
 def run_ccdf_demoivre(T: int, v: int, p: float) -> float:
     """P(longest run of ones >= v) in T i.i.d. Bernoulli(p) trials.
 
-    Alternating sum with l up to floor((T+1)/(v+1)); evaluated in exact
-    rational arithmetic when many terms make float cancellation a risk.
+    Alternating sum with l up to floor((T+1)/(v+1)), evaluated in exact
+    rational arithmetic so that no term cancels in floating point.
     """
     if not 1 <= v <= T:
         raise ValueError("need 1 <= v <= T")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    lmax = (T + 1) // (v + 1)
-    if T / (v + 1) > 6:
-        return _run_ccdf_exact(T, v, p, lmax)
-    terms = []
-    for l in range(1, lmax + 1):
-        sign = -1.0 if l % 2 == 0 else 1.0
-        bracket = p + (T - l * v + 1) / l * (1.0 - p)
-        terms.append(
-            sign * bracket * math.comb(T - l * v, l - 1) * p ** (l * v) * (1.0 - p) ** (l - 1)
-        )
-    return min(1.0, max(0.0, math.fsum(terms)))
-
-
-def _run_ccdf_exact(T: int, v: int, p: float, lmax: int) -> float:
     pf = Fraction(p)
     total = Fraction(0)
-    for l in range(1, lmax + 1):
+    for l in range(1, (T + 1) // (v + 1) + 1):
         sign = -1 if l % 2 == 0 else 1
         bracket = pf + Fraction(T - l * v + 1, l) * (1 - pf)
         total += sign * bracket * math.comb(T - l * v, l - 1) * pf ** (l * v) * (1 - pf) ** (l - 1)
@@ -163,15 +148,12 @@ def _check_window(quad: QuadratureSpec, channel: ChannelParams):
 
 
 def _quad_checked(func, lo, hi, quad: QuadratureSpec) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, abserr = integrate.quad(
-                func, lo, hi,
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdivisions,
-            )
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"radial quadrature did not converge: {exc}") from exc
+    val, abserr, _, *failure = integrate.quad(
+        func, lo, hi, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+        limit=quad.max_subdivisions, full_output=1,
+    )
+    if failure:
+        raise QuadratureError(f"radial quadrature did not converge: {failure[0]}", abserr)
     if abserr > 100.0 * max(quad.abs_tol, quad.rel_tol * abs(val)) + 1e-300:
         raise QuadratureError(
             f"radial quadrature error estimate {abserr:.3e} above tolerance", abserr

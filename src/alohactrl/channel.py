@@ -13,7 +13,7 @@ frequency, matching the configuration surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,9 +98,6 @@ class ChannelParams:
     def noise_success_factor(self, r0: float, power: float = 1.0) -> float:
         """exp(-power * gamma * N0 / (eta rho r0^(-alpha)))."""
         return math.exp(-power * self.noise_exponent(r0))
-
-    def with_gamma(self, gamma: float) -> "ChannelParams":
-        return replace(self, sinr_threshold_gamma=gamma)
 
 
 def default_channel(gamma: float = 1.0) -> ChannelParams:

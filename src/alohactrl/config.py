@@ -4,13 +4,20 @@ Config files are flat UTF-8 ``key = value`` text: one setting per line,
 values in JSON syntax (bare words are taken as strings), ``#`` comments.
 The same format is emitted back as the resolved configuration, and reloading
 that file reproduces the identical experiment.
+
+This module only reads text: it checks value types, converts units and
+names the key in every error. The dataclasses own the ranges and, except for
+the density and pair distance that `PppConfig` does not default, the
+defaults (`default_channel` for the channel); an absent key is not passed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
@@ -18,10 +25,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import __version__
-from .aloha import Protocol
 from .channel import (
     ChannelParams,
     dbm_to_watts,
+    default_channel,
     freespace_pathloss_const,
     db_to_linear,
     thermal_noise_watts,
@@ -35,18 +42,46 @@ __all__ = ["load_config", "parse_config_text", "resolved_config_text",
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
-_KNOWN_KEYS = {
-    "lambda", "r0", "window_radius",
-    "tx_power_dbm", "tx_power_w",
-    "alpha", "gamma", "gamma_db",
-    "noise_power_dbm", "noise_power_w", "bandwidth_hz", "noise_figure_db",
-    "carrier_hz", "rho",
-    "protocol", "system", "q", "q_values", "arms",
-    "T", "v", "K", "num_realizations", "seed",
-    "process_noise_std", "state_level", "fixed_geometry",
-    "beta_values", "threads",
-    "A", "B", "x_des",
+# Plain keys are `ExperimentConfig` fields of the same name; each maps to the
+# type its value must have (a tuple holds floats, and a lone number is a
+# one-element tuple).
+_PLAIN_KEYS = {
+    "q_values": tuple, "arms": tuple, "T": int, "v": int, "K": int,
+    "num_realizations": int, "seed": int, "process_noise_std": float,
+    "state_level": bool, "fixed_geometry": bool, "beta_values": tuple,
+    "threads": int,
 }
+
+# Choice keys: the `ExperimentConfig` field each sets and what each word means.
+_CHOICES = {
+    "protocol": ("protocols", {"block": ("block",), "classical": ("classical",),
+                               "both": ("block", "classical")}),
+    "system": ("systems", {"restless": ("restless",), "rested": ("rested",),
+                           "both": ("restless", "rested")}),
+}
+
+# Each `ChannelParams` field and the keys that can set it, the first present
+# one winning; the keys in `_TO_LINEAR` are converted to linear SI units.
+_CHANNEL_KEYS = {
+    "tx_power_eta": ("tx_power_w", "tx_power_dbm"),
+    "pathloss_const_rho": ("rho", "carrier_hz"),
+    "pathloss_exp_alpha": ("alpha",),
+    "noise_power_N0": ("noise_power_w", "noise_power_dbm", "bandwidth_hz"),
+    "sinr_threshold_gamma": ("gamma", "gamma_db"),
+}
+_TO_LINEAR = {
+    "tx_power_dbm": dbm_to_watts, "carrier_hz": freespace_pathloss_const,
+    "noise_power_dbm": dbm_to_watts, "gamma_db": db_to_linear,
+}
+
+# Keys whose values are single numbers.
+_NUMBER_KEYS = ("lambda", "r0", "window_radius", "noise_figure_db", "q",
+                *(key for keys in _CHANNEL_KEYS.values() for key in keys))
+
+_KNOWN_KEYS = {*_NUMBER_KEYS, *_CHOICES, *_PLAIN_KEYS, "A", "B", "x_des"}
+
+_EXPECTED = {int: "an integer", float: "a number", bool: "true/false",
+             tuple: "a number or list of numbers"}
 
 
 def preset_path(name: str) -> Path:
@@ -55,12 +90,15 @@ def preset_path(name: str) -> Path:
     return Path(str(resources.files("alohactrl").joinpath(f"presets/{name}.conf")))
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
+def _entry(key: str, raw: str):
+    """(key, value) of one setting; the value is JSON, a bare word a string."""
+    key = key.strip()
+    if key not in _KNOWN_KEYS:
+        raise ValueError(f"config key {key!r}: unknown key")
     try:
-        return json.loads(raw)
+        return key, json.loads(raw)
     except json.JSONDecodeError:
-        return raw  # bare word -> string
+        return key, raw.strip()
 
 
 def parse_config_text(text: str) -> dict:
@@ -72,178 +110,92 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _KNOWN_KEYS:
-            raise ValueError(f"config key {key!r}: unknown key")
-        out[key] = _parse_value(raw)
+        key, value = _entry(*stripped.split("=", 1))
+        out[key] = value
     return out
 
 
-def _require_number(data, key, lo=None, hi=None, lo_open=False):
-    val = data[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError(f"config key {key!r}: expected a number, got {val!r}")
-    val = float(val)
-    if lo is not None and (val <= lo if lo_open else val < lo):
-        raise ValueError(f"config key {key!r}: value {val} below allowed range")
-    if hi is not None and val > hi:
-        raise ValueError(f"config key {key!r}: value {val} above allowed range")
-    return val
+def _is_number(val) -> bool:
+    """A JSON number: not a bool, and not the NaN or Infinity that `json` also reads."""
+    if isinstance(val, float):
+        return math.isfinite(val)
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _as_tuple(val, key):
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return (float(val),)
-    if isinstance(val, list):
-        return tuple(float(x) for x in val)
-    raise ValueError(f"config key {key!r}: expected a number or list")
+def _typed(key: str, val, kind: type):
+    """`val` as `kind` (int, float, bool or a tuple of floats), or an error
+    naming the key when its JSON type is wrong."""
+    if kind is tuple:
+        items = val if isinstance(val, list) else [val]
+        if all(map(_is_number, items)):
+            return tuple(float(x) for x in items)
+    elif kind is bool:
+        if isinstance(val, bool):
+            return val
+    elif _is_number(val) and (kind is float or isinstance(val, int)):
+        return kind(val)
+    raise ValueError(f"config key {key!r}: expected {_EXPECTED[kind]}, got {val!r}")
+
+
+def _build(cls, key_of: dict, *args, **kwargs):
+    """cls(*args, **kwargs), re-raising a range error with the config key of
+    the field it rejects (each message begins with that field's name)."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        field = str(exc).split(maxsplit=1)[0]
+        raise ValueError(f"config key {key_of.get(field) or field!r}: {exc}") from exc
 
 
 def build_experiment_config(data: dict) -> ExperimentConfig:
-    """Validate the parsed key-value map and assemble an ExperimentConfig."""
-    data = dict(data)
+    """Check the parsed key-value map's types, convert units and assemble an
+    ExperimentConfig; the dataclasses apply the defaults and range checks."""
+    num = {key: _typed(key, data[key], float) for key in _NUMBER_KEYS if key in data}
+    for key in ("carrier_hz", "bandwidth_hz"):  # no dataclass sees these
+        if num.get(key, 1.0) <= 0.0:
+            raise ValueError(f"config key {key!r}: must be > 0, got {num[key]}")
 
-    lam = _require_number(data, "lambda", lo=0.0) if "lambda" in data else 5e-3
-    r0 = _require_number(data, "r0", lo=0.0, lo_open=True) if "r0" in data else 10.0
-    if "window_radius" in data:
-        R = _require_number(data, "window_radius", lo=0.0, lo_open=True)
-    else:
-        R = default_window_radius(lam, r0)
-    try:
-        ppp = PppConfig(lam, R, r0)
-    except ValueError as exc:
-        raise ValueError(f"config key 'lambda'/'window_radius'/'r0': {exc}") from exc
+    lam, r0 = num.get("lambda", 5e-3), num.get("r0", 10.0)
+    radius = num["window_radius"] if "window_radius" in num else default_window_radius(lam, r0)
+    ppp = _build(PppConfig, {"intensity_lambda": "lambda", "window_radius_R": "window_radius",
+                             "typical_distance_r0": "r0"}, lam, radius, r0)
 
-    if "tx_power_w" in data:
-        eta = _require_number(data, "tx_power_w", lo=0.0, lo_open=True)
-    elif "tx_power_dbm" in data:
-        eta = dbm_to_watts(_require_number(data, "tx_power_dbm"))
-    else:
-        eta = dbm_to_watts(24.0)
+    channel, channel_key = asdict(default_channel()), {}
+    for field, keys in _CHANNEL_KEYS.items():
+        key = next((k for k in keys if k in num), None)
+        if key == "bandwidth_hz":
+            channel[field] = thermal_noise_watts(num[key], num.get("noise_figure_db", 0.0))
+        elif key is not None:
+            channel[field] = _TO_LINEAR.get(key, float)(num[key])
+        channel_key[field] = key
+    channel = _build(ChannelParams, channel_key, **channel)
 
-    alpha = _require_number(data, "alpha", lo=2.0) if "alpha" in data else 2.0
+    fields = {key: _typed(key, data[key], kind)
+              for key, kind in _PLAIN_KEYS.items() if key in data}
+    for key, (field, options) in _CHOICES.items():
+        if key in data:
+            if not (isinstance(data[key], str) and data[key] in options):
+                raise ValueError(f"config key {key!r}: {data[key]!r} not one of "
+                                 + "|".join(options))
+            fields[field] = options[data[key]]
+    experiment_key = {}
+    if "q" in num:  # an explicit single q wins over a preset sweep list
+        fields["q_values"], experiment_key["q_values"] = (num["q"],), "q"
+    config = _build(ExperimentConfig, experiment_key, ppp=ppp, channel=channel, **fields)
 
-    if "rho" in data:
-        rho = _require_number(data, "rho", lo=0.0, lo_open=True)
-    elif "carrier_hz" in data:
-        rho = freespace_pathloss_const(_require_number(data, "carrier_hz", lo=0.0, lo_open=True))
-    else:
-        rho = freespace_pathloss_const(3.2e9)
-
-    if "noise_power_w" in data:
-        N0 = _require_number(data, "noise_power_w", lo=0.0)
-    elif "noise_power_dbm" in data:
-        N0 = dbm_to_watts(_require_number(data, "noise_power_dbm"))
-    elif "bandwidth_hz" in data:
-        nf = _require_number(data, "noise_figure_db") if "noise_figure_db" in data else 0.0
-        N0 = thermal_noise_watts(_require_number(data, "bandwidth_hz", lo=0.0, lo_open=True), nf)
-    else:
-        N0 = thermal_noise_watts(200e6)
-
-    if "gamma" in data:
-        gamma = _require_number(data, "gamma", lo=0.0, lo_open=True)
-    elif "gamma_db" in data:
-        gamma = db_to_linear(_require_number(data, "gamma_db"))
-    else:
-        gamma = 1.0
-
-    try:
-        channel = ChannelParams(eta, rho, alpha, N0, gamma)
-    except ValueError as exc:
-        raise ValueError(f"config key 'alpha'/'gamma'/noise keys: {exc}") from exc
-
-    protocol_raw = data.get("protocol", "both")
-    if protocol_raw == "both":
-        protocols: tuple = (Protocol.BLOCK, Protocol.CLASSICAL)
-    else:
-        try:
-            protocols = (Protocol(protocol_raw),)
-        except ValueError as exc:
-            raise ValueError(f"config key 'protocol': {protocol_raw!r} not one of "
-                             "block|classical|both") from exc
-
-    system_raw = data.get("system", "both")
-    if system_raw == "both":
-        systems: tuple = ("restless", "rested")
-    elif system_raw in ("restless", "rested"):
-        systems = (system_raw,)
-    else:
-        raise ValueError(f"config key 'system': {system_raw!r} not one of "
-                         "restless|rested|both")
-
-    if "q" in data:  # an explicit single q wins over a preset sweep list
-        q_values = (_require_number(data, "q"),)
-    elif "q_values" in data:
-        q_values = _as_tuple(data["q_values"], "q_values")
-    else:
-        q_values = tuple(round(0.1 * i, 10) for i in range(1, 11))
-    for q in q_values:
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"config key 'q': value {q} outside (0, 1]")
-
-    arms = _as_tuple(data["arms"], "arms") if "arms" in data else \
-        tuple(round(0.1 * i, 10) for i in range(1, 11))
-    for a in arms:
-        if not 0.0 < a <= 1.0:
-            raise ValueError(f"config key 'arms': value {a} outside (0, 1]")
-
-    def _int(key, default, lo=1):
-        if key not in data:
-            return default
-        val = data[key]
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ValueError(f"config key {key!r}: expected an integer")
-        if val < lo:
-            raise ValueError(f"config key {key!r}: must be >= {lo}")
-        return val
-
-    T = _int("T", 20)
-    v = _int("v", 4)
-    K = _int("K", 1)
-    num_realizations = _int("num_realizations", 10000)
-    seed = _int("seed", 0, lo=0)
-    threads = _int("threads", 1)
-    if v > T:
-        raise ValueError("config key 'v': must not exceed T")
-
-    noise_std = _require_number(data, "process_noise_std", lo=0.0) \
-        if "process_noise_std" in data else 0.0
-
-    def _bool(key):
-        val = data.get(key, False)
-        if not isinstance(val, bool):
-            raise ValueError(f"config key {key!r}: expected true/false")
-        return val
-
-    beta_values = _as_tuple(data["beta_values"], "beta_values") if "beta_values" in data else ()
-    for b in beta_values:
-        if not 0.0 < b < 1.0:
-            raise ValueError(f"config key 'beta_values': value {b} outside (0, 1)")
-
-    plant = None
     if "A" in data or "B" in data:
         if not ("A" in data and "B" in data and "x_des" in data):
             raise ValueError("config keys 'A'/'B'/'x_des': all three are required together")
         try:
             plant = LtiSystem(
                 np.asarray(data["A"], float), np.asarray(data["B"], float),
-                np.asarray(data["x_des"], float), v=v, process_noise_std=noise_std,
+                np.asarray(data["x_des"], float), v=config.v,
+                process_noise_std=config.process_noise_std,
             )
         except ValueError as exc:
             raise ValueError(f"config key 'A'/'B'/'x_des': {exc}") from exc
-
-    try:
-        return ExperimentConfig(
-            ppp=ppp, channel=channel, protocols=protocols, systems=systems,
-            q_values=q_values, arms=arms, T=T, v=v, K=K,
-            num_realizations=num_realizations, seed=seed,
-            process_noise_std=noise_std, state_level=_bool("state_level"),
-            fixed_geometry=_bool("fixed_geometry"), beta_values=beta_values,
-            threads=threads, plant=plant,
-        )
-    except ValueError as exc:
-        raise ValueError(f"config: {exc}") from exc
+        config = replace(config, plant=plant)
+    return config
 
 
 def load_config(path, overrides: Iterable[str] = ()) -> ExperimentConfig:
@@ -257,11 +209,8 @@ def load_config(path, overrides: Iterable[str] = ()) -> ExperimentConfig:
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r}: expected key=value")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in _KNOWN_KEYS:
-            raise ValueError(f"config key {key!r}: unknown key")
-        data[key] = _parse_value(raw)
+        key, value = _entry(*item.split("=", 1))
+        data[key] = value
     return build_experiment_config(data)
 
 
@@ -277,25 +226,14 @@ def resolved_config_text(config: ExperimentConfig) -> str:
         f"alpha = {config.channel.pathloss_exp_alpha!r}",
         f"noise_power_w = {config.channel.noise_power_N0!r}",
         f"gamma = {config.channel.sinr_threshold_gamma!r}",
-        "protocol = " + ("both" if len(config.protocols) == 2 else config.protocols[0].value),
-        "system = " + ("both" if len(config.systems) == 2 else config.systems[0]),
-        f"q_values = {json.dumps(list(config.q_values))}",
-        f"arms = {json.dumps(list(config.arms))}",
-        f"T = {config.T}",
-        f"v = {config.v}",
-        f"K = {config.K}",
-        f"num_realizations = {config.num_realizations}",
-        f"seed = {config.seed}",
-        f"process_noise_std = {config.process_noise_std!r}",
-        f"state_level = {json.dumps(config.state_level)}",
-        f"fixed_geometry = {json.dumps(config.fixed_geometry)}",
-        f"beta_values = {json.dumps(list(config.beta_values))}",
-        f"threads = {config.threads}",
     ]
+    for key, (field, options) in _CHOICES.items():
+        value = getattr(config, field)
+        lines.append(f"{key} = " + next(w for w, v in options.items() if v == value))
+    lines += [f"{key} = {json.dumps(getattr(config, key))}" for key in _PLAIN_KEYS]
     if config.plant is not None:
-        lines.append(f"A = {json.dumps(config.plant.A.tolist())}")
-        lines.append(f"B = {json.dumps(config.plant.B.tolist())}")
-        lines.append(f"x_des = {json.dumps(config.plant.x_des.tolist())}")
+        lines += [f"{key} = {json.dumps(getattr(config.plant, key).tolist())}"
+                  for key in ("A", "B", "x_des")]
     return "\n".join(lines) + "\n"
 
 

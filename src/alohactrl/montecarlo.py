@@ -77,6 +77,7 @@ class ExperimentConfig:
     plant: Optional[LtiSystem] = None
 
     def __post_init__(self):
+        # Each message begins with the rejected field, which is its config key.
         object.__setattr__(self, "protocols", tuple(Protocol(p) for p in self.protocols))
         object.__setattr__(self, "systems", tuple(self.systems))
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
@@ -85,17 +86,21 @@ class ExperimentConfig:
         for name in ("T", "v", "K", "num_realizations", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("seed", "process_noise_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.v > self.T:
             raise ValueError("v must not exceed T")
-        for q in self.q_values + self.arms:
-            if not 0.0 < q <= 1.0:
-                raise ValueError(f"q value {q} outside (0, 1]")
+        for name in ("q_values", "arms"):
+            for q in getattr(self, name):
+                if not 0.0 < q <= 1.0:
+                    raise ValueError(f"{name} value {q} outside (0, 1]")
         for s in self.systems:
             if s not in ("restless", "rested"):
-                raise ValueError(f"unknown system type {s!r}")
+                raise ValueError(f"systems entry {s!r} is not restless or rested")
         for b in self.beta_values:
             if not 0.0 < b < 1.0:
-                raise ValueError(f"beta value {b} outside (0, 1)")
+                raise ValueError(f"beta_values value {b} outside (0, 1)")
 
 
 @dataclass
@@ -127,10 +132,10 @@ class RegretStudyResult:
     num_runs: int
 
 
-def window_quadrature(ppp: PppConfig, **kwargs) -> analytics.QuadratureSpec:
+def window_quadrature(ppp: PppConfig) -> analytics.QuadratureSpec:
     """Quadrature windowed at the simulation radius, so analytics and
     simulation describe the same finite system."""
-    return analytics.QuadratureSpec(outer_limit=ppp.window_radius_R, **kwargs)
+    return analytics.QuadratureSpec(outer_limit=ppp.window_radius_R)
 
 
 def _block_geometry(ppp: PppConfig, n_blocks: int, rng: np.random.Generator,
@@ -268,16 +273,12 @@ def _state_level_flags(config, protocol, q, seed_seq, realization=None):
     return out
 
 
-def analytic_controllability(
-    config: ExperimentConfig, protocol: Protocol, q: float,
-    quad: Optional[analytics.QuadratureSpec] = None,
-) -> float:
+def analytic_controllability(config: ExperimentConfig, protocol: Protocol, q: float) -> float:
     """Averaged restless block-controllability from the moment expansion,
     windowed at the simulation radius."""
-    quad = quad or window_quadrature(config.ppp)
     return analytics.prob_block_controllable_restless(
         config.T, config.v, q, config.ppp.intensity_lambda, config.channel,
-        quad, protocol, r0=config.ppp.typical_distance_r0,
+        window_quadrature(config.ppp), protocol, r0=config.ppp.typical_distance_r0,
     )
 
 

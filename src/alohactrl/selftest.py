@@ -246,7 +246,7 @@ def chunked_simulation_reproducible():
     assert np.array_equal(a, b)
 
 
-def run_selftest(verbose: bool = True) -> int:
+def run_selftest() -> int:
     failures = 0
     for fn in CHECKS:
         name = fn.__name__
@@ -254,11 +254,8 @@ def run_selftest(verbose: bool = True) -> int:
             fn()
         except Exception as exc:  # noqa: BLE001 - report and continue
             failures += 1
-            if verbose:
-                print(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         else:
-            if verbose:
-                print(f"PASS {name}")
-    if verbose:
-        print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+            print(f"PASS {name}")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return 1 if failures else 0

@@ -275,10 +275,12 @@ class TestNumericalFailureContract:
         # starve the adaptive quadrature so it cannot meet the tolerance
         quad = QuadratureSpec(outer_limit=5000.0, rel_tol=1e-13, abs_tol=1e-16,
                               max_subdivisions=1)
-        with pytest.raises(QuadratureError, match="did not converge"):
+        with pytest.raises(QuadratureError, match="did not converge") as info:
             interference_log_integral(
                 1, 1.0, 1e-4, unit_params(), quad, Protocol.BLOCK, r0=10.0,
             )
+        assert math.isfinite(info.value.error_estimate)
+        assert info.value.error_estimate > 0.0
 
     def test_cancellation_warning(self):
         # long blocks with v=1 produce huge alternating binomial terms; the

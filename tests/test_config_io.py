@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from alohactrl.aloha import Protocol
 from alohactrl.cli import main
 from alohactrl.config import (
+    _KNOWN_KEYS,
     PRESET_NAMES,
     build_experiment_config,
     config_hash,
@@ -71,6 +74,73 @@ class TestBuild:
                 "x_des": [0.0, 0.0],
                 "v": 1,
             })
+
+
+# (key the error must name, the settings that are rejected)
+BAD_VALUES = [
+    ("lambda", {"lambda": -1e-3}),
+    ("r0", {"r0": 0}),
+    ("r0", {"r0": 50.0, "window_radius": 20.0}),
+    ("window_radius", {"window_radius": 0}),
+    ("alpha", {"alpha": 1.5}),
+    ("gamma", {"gamma": 0}),
+    ("gamma", {"gamma": math.nan}),
+    ("window_radius", {"window_radius": math.inf}),
+    ("gamma_db", {"gamma_db": "high"}),
+    ("tx_power_w", {"tx_power_w": 0}),
+    ("rho", {"rho": 0}),
+    ("carrier_hz", {"carrier_hz": 0}),
+    ("carrier_hz", {"carrier_hz": -3e9}),
+    ("bandwidth_hz", {"bandwidth_hz": 0}),
+    ("bandwidth_hz", {"bandwidth_hz": -2e8}),
+    ("noise_power_w", {"noise_power_w": -1e-12}),
+    ("noise_figure_db", {"noise_figure_db": "x"}),
+    ("T", {"T": 0}),
+    ("v", {"v": 0}),
+    ("K", {"K": 0}),
+    ("num_realizations", {"num_realizations": 0}),
+    ("threads", {"threads": 0}),
+    ("seed", {"seed": -1}),
+    ("v", {"T": 5, "v": 6}),
+    ("T", {"T": True}),
+    ("K", {"K": 2.5}),
+    ("q", {"q": 1.5}),
+    ("q", {"q": 0}),
+    ("q_values", {"q_values": [0.5, 1.2]}),
+    ("q_values", {"q_values": [[0.5]]}),
+    ("arms", {"arms": [0, 0.5]}),
+    ("arms", {"arms": [0.5, "a"]}),
+    ("beta_values", {"beta_values": [1.0]}),
+    ("process_noise_std", {"process_noise_std": -0.1}),
+    ("state_level", {"state_level": 1}),
+    ("fixed_geometry", {"fixed_geometry": "yes"}),
+    ("protocol", {"protocol": "slotted"}),
+    ("system", {"system": "restful"}),
+]
+
+
+@pytest.mark.parametrize(
+    "key,settings", BAD_VALUES,
+    ids=[",".join(f"{k}={v!r}" for k, v in s.items()) for _, s in BAD_VALUES],
+)
+def test_rejected_value_names_its_key(key, settings, tmp_path, capsys):
+    named = re.escape(f"config key {key!r}: ")
+    with pytest.raises(ValueError, match="^" + named):
+        build_experiment_config(settings)
+    overrides = [a for k, v in settings.items() for a in ("--set", f"{k}={json.dumps(v)}")]
+    assert main(["simulate", "--config", "fig2", "--out", str(tmp_path), *overrides]) == 2
+    assert re.match("error: " + named, capsys.readouterr().err)
+    assert not tmp_path.joinpath("sweep.csv").exists()
+
+
+def test_readme_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration format", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert keys == _KNOWN_KEYS
 
 
 class TestPresets:
