@@ -17,7 +17,9 @@ Implements, for the typical pair of a Poisson bipolar network:
 
 All integrals are windowed at `QuadratureSpec.outer_limit`; an infinite
 window (`math.inf`) is accepted only for path-loss exponents > 2 and not by
-the meta distribution.
+the meta distribution. They are computed by globally adaptive 7-point Gauss /
+15-point Kronrod quadrature (the qk15 rule of QUADPACK; Piessens et al.,
+Springer 1983) over a vectorized integrand.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy import fft, integrate, special
+from numpy import fft
 
 from .aloha import Protocol
 from .channel import ChannelParams, suppression_factors
@@ -127,16 +129,17 @@ def run_ccdf_demoivre(T: int, v: int, p: float) -> float:
 # PGFL radial integrals and success-probability moments
 # ---------------------------------------------------------------------------
 
-def _base_factor(z, q: float, channel: ChannelParams, r0: float, protocol: Protocol):
-    """Per-interferer product base at radius z.
+def _base_loss(z, q: float, channel: ChannelParams, r0: float, protocol: Protocol):
+    """1 - base(z), one interferer's per-slot factor at radius z subtracted
+    from 1, computed as q_c eps x(z) so that it keeps its digits far out.
 
-    Block: x(z) = `suppression_factors` (1 / (1 + gamma (z/r0)^(-a)));
-    classical: q x(z) + 1 - q.
+    x(z) = 1 / (1 + eps) is `suppression_factors`, eps = gamma (z/r0)^(-a);
+    the base is x(z) for block ALOHA (q_c = 1) and q x(z) + 1 - q for
+    classical ALOHA (q_c = q).
     """
-    x = suppression_factors(z, r0, channel)
-    if protocol is Protocol.BLOCK:
-        return x
-    return q * x + 1.0 - q
+    q_c = q if protocol is Protocol.CLASSICAL else 1.0
+    eps = channel.sinr_threshold_gamma * (z / r0) ** -channel.pathloss_exp_alpha
+    return q_c * eps * suppression_factors(z, r0, channel)
 
 
 def _check_window(quad: QuadratureSpec, channel: ChannelParams):
@@ -147,18 +150,76 @@ def _check_window(quad: QuadratureSpec, channel: ChannelParams):
         )
 
 
+# QUADPACK qk15: Kronrod nodes (largest first; every second one is a Gauss
+# node, the last is 0) with their Kronrod and 7-point Gauss weights.
+_XK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+_NODES = np.concatenate((-_XK[:-1], _XK[::-1]))  # 15 nodes on [-1, 1]
+_KRONROD = np.concatenate((_WK[:-1], _WK[::-1]))
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate((_WG, _WG[-2::-1]))
+
+
+def _gauss_kronrod(g, left, right):
+    """K15 integral of g over each interval [left, right], and |K15 - G7|."""
+    half = 0.5 * (right - left)
+    values = g((left + half)[:, None] + half[:, None] * _NODES)
+    kronrod = half * (values @ _KRONROD)
+    return kronrod, np.abs(kronrod - half * (values @ _GAUSS))
+
+
 def _quad_checked(func, lo, hi, quad: QuadratureSpec) -> float:
-    val, abserr, _, *failure = integrate.quad(
-        func, lo, hi, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions, full_output=1,
-    )
-    if failure:
-        raise QuadratureError(f"radial quadrature did not converge: {failure[0]}", abserr)
-    if abserr > 100.0 * max(quad.abs_tol, quad.rel_tol * abs(val)) + 1e-300:
-        raise QuadratureError(
-            f"radial quadrature error estimate {abserr:.3e} above tolerance", abserr
-        )
-    return val
+    """Int_lo^hi func (hi may be inf) by globally adaptive Gauss-Kronrod.
+
+    `func` maps an array of abscissae to an array of values. Each interval's
+    error is |K15 - G7|; every round bisects, in one batch, each interval
+    whose error exceeds its length share of the tolerance, until the summed
+    error meets max(abs_tol, rel_tol |value|) with at most
+    `max_subdivisions` intervals. An infinite upper limit is mapped to
+    [0, 1) by z = lo + t/(1 - t).
+    """
+    if math.isinf(hi):
+        def g(t):
+            return func(lo + t / (1.0 - t)) / (1.0 - t) ** 2
+        a, b = 0.0, 1.0
+    else:
+        g, a, b = func, lo, hi
+    left, right = np.array([a]), np.array([b])
+    kronrod, errors = _gauss_kronrod(g, left, right)
+    while True:
+        total, error = math.fsum(kronrod), math.fsum(errors)
+        tol = max(quad.abs_tol, quad.rel_tol * abs(total))
+        if error <= tol:
+            return total
+        split = errors > tol * (right - left) / (b - a)
+        if left.size + np.count_nonzero(split) > quad.max_subdivisions:
+            raise QuadratureError(
+                f"radial quadrature did not converge: error estimate {error:.3e} "
+                f"above tolerance {tol:.3e} with {quad.max_subdivisions} intervals", error
+            )
+        mid = 0.5 * (left[split] + right[split])
+        new_left = np.concatenate((left[split], mid))
+        new_right = np.concatenate((mid, right[split]))
+        new_kronrod, new_errors = _gauss_kronrod(g, new_left, new_right)
+        keep = ~split
+        left = np.concatenate((left[keep], new_left))
+        right = np.concatenate((right[keep], new_right))
+        kronrod = np.concatenate((kronrod[keep], new_kronrod))
+        errors = np.concatenate((errors[keep], new_errors))
 
 
 def interference_log_integral(
@@ -181,7 +242,7 @@ def interference_log_integral(
         return 0.0
 
     def f(z):
-        return (1.0 - float(_base_factor(z, q, channel, r0, protocol)) ** order) * z
+        return -np.expm1(order * np.log1p(-_base_loss(z, q, channel, r0, protocol))) * z
 
     integral = _quad_checked(f, 0.0, quad.outer_limit, quad)
     return -2.0 * math.pi * lam_eff * integral
@@ -266,14 +327,26 @@ def prob_block_controllable_restless(
 # ---------------------------------------------------------------------------
 
 def binomial_tail(T: int, v: int, p: float) -> float:
-    """P(X >= v) for X ~ Binomial(T, p), via the regularized incomplete beta."""
+    """P(X >= v) for X ~ Binomial(T, p).
+
+    The probability masses are built outward from the mode as products of
+    the term ratios, so each is at most the mode's and none overflows, and
+    the upper ones are summed and divided by the sum of all.
+    """
     if not 0 <= v <= T:
         raise ValueError("need 0 <= v <= T")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if v == 0:
+    if v == 0 or p == 1.0:
         return 1.0
-    return float(special.betainc(v, T - v + 1, p))
+    if p == 0.0:
+        return 0.0
+    k = np.arange(T)
+    ratio = (T - k) / (k + 1) * (p / (1.0 - p))  # mass(k + 1) / mass(k)
+    mode = min(T, int((T + 1) * p))
+    mass = np.concatenate((np.cumprod(1.0 / ratio[:mode][::-1])[::-1], [1.0],
+                           np.cumprod(ratio[mode:])))
+    return float(mass[v:].sum() / mass.sum())
 
 
 def inverse_tail_threshold(
@@ -282,7 +355,8 @@ def inverse_tail_threshold(
     """Smallest p in [0, 1] whose (access-weighted) binomial tail reaches beta.
 
     Block weights the tail by q; classical evaluates the tail at success
-    probability q*p. Returns None when even p = 1 cannot reach beta.
+    probability q*p. Returns None when even p = 1 cannot reach beta, and 1
+    under block ALOHA with beta = q, where only p = 1 gives a tail of 1.
     """
     protocol = Protocol(protocol)
     if not 0.0 < q <= 1.0:
@@ -291,6 +365,8 @@ def inverse_tail_threshold(
         raise ValueError("beta must lie in (0, 1)")
 
     if protocol is Protocol.BLOCK:
+        if beta == q:
+            return 1.0
         meets = lambda p: q * binomial_tail(T, v, p) >= beta
     else:
         meets = lambda p: binomial_tail(T, v, q * p) >= beta
@@ -336,6 +412,19 @@ def _jump_cdf(t, q, channel: ChannelParams, r0: float, L: float, protocol: Proto
     return 1.0 - np.minimum(1.0, z2 / (L * L))
 
 
+def _next_5_smooth(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a fast real-FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _log_success_law(s_max: float, cells: int, q: float, lam_eff: float,
                      channel: ChannelParams, r0: float, quad: QuadratureSpec,
                      protocol: Protocol):
@@ -355,12 +444,12 @@ def _log_success_law(s_max: float, cells: int, q: float, lam_eff: float,
     jumps = 0.5 * (mass + np.concatenate(([0.0], mass[:-1])))
     # E[J; J <= dt], with u = z^2/L^2 uniform on (0, 1]
     head = _quad_checked(
-        lambda u: -math.log(float(_base_factor(L * math.sqrt(u), q, channel, r0, protocol))),
+        lambda u: -np.log1p(-_base_loss(L * np.sqrt(u), q, channel, r0, protocol)),
         1.0 - cdf[1], 1.0, quad,
     )
     jumps[0] = mass[0] - head / dt
     jumps[1] = head / dt + 0.5 * mass[1]
-    n_fft = fft.next_fast_len(4 * (cells + 1), real=True)
+    n_fft = _next_5_smooth(4 * (cells + 1))
     tilt = np.exp(-_WRAP_DECAY / n_fft * np.arange(cells + 1))
     mu = lam_eff * math.pi * L * L
     law = fft.irfft(np.exp(mu * (fft.rfft(jumps * tilt, n_fft) - 1.0)), n_fft)

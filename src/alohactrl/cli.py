@@ -206,7 +206,11 @@ def main(argv=None) -> int:
         return 2
 
     start = time.perf_counter()
-    artifacts = _COMMANDS[args.command](config, args)
+    try:
+        artifacts = _COMMANDS[args.command](config, args)
+    except analytics.QuadratureError as exc:
+        print(f"error: {exc} (error estimate {exc.error_estimate:.3e})", file=sys.stderr)
+        return 4
     elapsed = time.perf_counter() - start
     try:
         written = emit_results(

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; load it with the package
 
 from . import analytics
 from .aloha import Protocol

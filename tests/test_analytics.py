@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
+from scipy import integrate, special
 
 from alohactrl import analytics
 from alohactrl.aloha import Protocol
@@ -13,7 +15,11 @@ from alohactrl.analytics import (
     MetaQuery,
     QuadratureError,
     QuadratureSpec,
+    _base_loss,
+    _jump_cdf,
     _log_success_law,
+    _next_5_smooth,
+    _quad_checked,
     binomial_tail,
     interference_log_integral,
     inverse_tail_threshold,
@@ -24,6 +30,7 @@ from alohactrl.analytics import (
 )
 from alohactrl.channel import ChannelParams, cond_success_prob_block
 from alohactrl.config import load_config
+from alohactrl.montecarlo import estimate_meta_empirical
 
 
 def rng(seed=0):
@@ -116,6 +123,23 @@ class TestBinomialTail:
         want = binomial_tail(T, v, p)
         assert abs(emp - want) < 3 * math.sqrt(want * (1 - want) / 1_000_000)
 
+    def test_matches_regularized_incomplete_beta(self):
+        # P(X >= v) = I_p(v, T - v + 1); every v of T = 1..200 in steps of 7
+        # and T = 200, on a grid with both ends and points near them
+        ps = np.concatenate(([0.0, 1e-300, 1e-12, 1e-5], np.linspace(0.0, 1.0, 21)[1:-1],
+                             [0.999, 1.0 - 1e-9, 1.0 - 1e-15, 1.0]))
+        for T in [*range(1, 200, 7), 200]:
+            for v in range(1, T + 1):
+                for p in ps:
+                    want = float(special.betainc(v, T - v + 1, p))
+                    assert abs(binomial_tail(T, v, p) - want) < 1e-13, (T, v, p)
+
+    def test_large_T_does_not_overflow(self):
+        # C(10^6, 5 10^5) overflows any float; the median tail is 1/2 + pmf/2
+        T = 10**6
+        want = float(special.betainc(T // 2, T // 2 + 1, 0.5))
+        assert binomial_tail(T, T // 2, 0.5) == pytest.approx(want, abs=1e-13)
+
 
 class TestInterferenceLogIntegral:
     def test_zero_intensity(self):
@@ -156,6 +180,35 @@ class TestInterferenceLogIntegral:
             interference_log_integral(
                 1, 0.5, 1e-4, unit_params(alpha=2.0), quad, Protocol.BLOCK, r0=10.0
             )
+
+    @pytest.mark.parametrize("alpha, window", [
+        (alpha, window) for alpha in (2.0, 3.0, 4.0)
+        for window in (500.0, 5000.0, "fig2", math.inf) if window != math.inf or alpha > 2.0
+    ])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_matches_quadpack(self, protocol, alpha, window):
+        # scipy.integrate.quad (QUADPACK qags/qagi) on the same integrand,
+        # 1 - base^n = -expm1(n log(1 - c)), c = q_c / (1 + (z/r0)^a / gamma)
+        fig2 = load_config("fig2")
+        L = fig2.ppp.window_radius_R if window == "fig2" else window
+        params = ChannelParams(fig2.channel.tx_power_eta, fig2.channel.pathloss_const_rho,
+                               alpha, fig2.channel.noise_power_N0,
+                               fig2.channel.sinr_threshold_gamma)
+        quad = QuadratureSpec(outer_limit=L)
+        lam, r0 = 5e-3, 10.0
+        for q in (0.3, 1.0):
+            q_c = q if protocol is Protocol.CLASSICAL else 1.0
+            lam_eff = q * lam if protocol is Protocol.BLOCK else lam
+            for order in range(1, 31):
+                def f(z):
+                    c = q_c / (1.0 + (z / r0) ** alpha / params.sinr_threshold_gamma)
+                    return -math.expm1(order * math.log1p(-c)) * z
+
+                want = -2.0 * math.pi * lam_eff * integrate.quad(
+                    f, 0.0, L, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+                    limit=quad.max_subdivisions)[0]
+                got = interference_log_integral(order, q, lam, params, quad, protocol, r0=r0)
+                assert got == pytest.approx(want, rel=1e-9), (q, order)
 
     def test_windowed_converges_to_infinite_plane(self):
         lam, r0 = 1e-4, 10.0
@@ -315,6 +368,11 @@ class TestInverseTailThreshold:
         assert binomial_tail(20, 4, q * (p - 1e-9)) < 0.7
 
 
+def test_fft_length_is_scipys_next_fast_len():
+    got = [_next_5_smooth(n) for n in range(1, 20_000)]
+    assert got == [scipy_fft.next_fast_len(n, real=True) for n in range(1, 20_000)]
+
+
 class TestMetaDistribution:
     def test_point_mass_cases(self):
         params = unit_params(N0=0.0)
@@ -442,6 +500,32 @@ class TestLawOfP:
             want = moment_zeta(l, q, lam, query.channel, quad, protocol, r0=query.r0)
             assert abs(got - want) < 1e-3, (l, got, want)
 
+    @pytest.mark.parametrize("point", ["fig4 q=0.7", "fig4 q=0.95", "alpha=4 q=0.7"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_head_cell_matches_quadpack(self, protocol, point):
+        # E[J; J <= dt] of the law of P: Int_{u0}^1 -ln base(L sqrt u) du with
+        # u0 = 1 - P(J <= dt), against scipy.integrate.quad at the same tolerances
+        if point.startswith("fig4"):
+            query, quad = fig4_point(float(point[-3:]))
+        else:
+            query = MetaQuery(4, 0.7, 20, 0.7, 1e-4, unit_params(), 10.0)
+            quad = QuadratureSpec(outer_limit=500.0)
+        q, r0, L, params = query.q, query.r0, quad.outer_limit, query.channel
+        q_c = q if protocol is Protocol.CLASSICAL else 1.0
+        alpha, gamma = params.pathloss_exp_alpha, params.sinr_threshold_gamma
+
+        def head(u):
+            return -math.log1p(-q_c / (1.0 + (L * math.sqrt(u) / r0) ** alpha / gamma))
+
+        for dt in (1e-4, 5e-5, 1e-2):
+            u0 = 1.0 - float(_jump_cdf(dt, q, params, r0, L, protocol))
+            want = integrate.quad(head, u0, 1.0, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+                                  limit=quad.max_subdivisions)[0]
+            got = _quad_checked(
+                lambda u: -np.log1p(-_base_loss(L * np.sqrt(u), q, params, r0, protocol)),
+                u0, 1.0, quad)
+            assert got == pytest.approx(want, rel=1e-9), dt
+
     def test_classical_q_one_equals_block(self):
         for beta in (0.5, 0.9):
             query, quad = fig4_point(1.0, beta)
@@ -483,6 +567,16 @@ class TestLawOfP:
         se = math.sqrt(analytic * (1.0 - analytic) / n)
         assert 1e-4 < analytic < 1e-3
         assert abs(analytic - hits / n) < 4.0 * se, (analytic, hits / n, se)
+
+    def test_fig4_block_beta_equal_to_q_is_zero(self):
+        # q = beta = 0.9: q * tail(p) = q only at p* = 1, while every
+        # realization has P <= p0 < 1, so both the analytic and the empirical
+        # fraction are 0 (a float tail already rounds to 1 near p = 0.93)
+        assert inverse_tail_threshold(20, 4, 0.9, 0.9, Protocol.BLOCK) == 1.0
+        query, quad = fig4_point(0.9)
+        assert meta_distribution_rested(query, quad, Protocol.BLOCK) == 0.0
+        config = load_config("fig4", ["num_realizations = 2000"])
+        assert estimate_meta_empirical(config, Protocol.BLOCK, 0.9, 0.9) == 0.0
 
     def test_starved_tolerance_raises_with_estimate(self, monkeypatch):
         query, quad = fig4_point(0.95)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +297,38 @@ class TestCliEndToEnd:
 
     def test_selftest_passes(self):
         assert self.run_cli("selftest") == 0
+
+    def test_quadrature_error_is_one_line_and_exit_four(self, tmp_path, capsys):
+        # the restless moment expansion cancels by ~1e9 at T = 200, v = 5
+        out = tmp_path / "an"
+        code = self.run_cli(
+            "analytic", "--config", "fig2", "--out", str(out),
+            "--set", "T=200", "--set", "v=5", "--set", "q=0.5",
+        )
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert re.fullmatch(r"error: alternating-sum cancellation .* \(error estimate \S+\)",
+                            err[0]), err[0]
+        assert not out.exists()
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy is a test-only dependency: the analytic and meta paths must not
+    # pull it in, not even lazily
+    script = (
+        "import sys\n"
+        "from alohactrl import cli\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['analytic', '--config', 'fig2', '--out', out + '/an']) == 0\n"
+        "assert cli.main(['compare', '--config', 'fig4', '--set', 'q_values=[0.7]',\n"
+        "                 '--out', out + '/cmp']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "[]"
