@@ -1,20 +1,15 @@
 """Sample a Poisson network and check the conditional success probabilities.
 
 Walks through the basic objects: a disk-window Poisson realization around the
-typical pair and the closed-form success probabilities given the geometry
-(all interferers active vs per-slot Bernoulli thinning); the first is
-cross-checked against a quick Monte Carlo over Rayleigh-faded slots.
+typical pair and the closed-form success probabilities given the geometry,
+read off the success kernel `block_success_prob` (all interferers active vs
+per-slot Bernoulli thinning); the first is cross-checked against a quick
+Monte Carlo over Rayleigh-faded slots.
 """
 
 import numpy as np
 
-from alohactrl import (
-    ChannelParams,
-    PppConfig,
-    cond_success_prob_block,
-    cond_success_prob_classical,
-    sample_ppp,
-)
+from alohactrl import ChannelParams, PppConfig, Protocol, block_success_prob, sample_ppp
 
 rng = np.random.default_rng(1)
 
@@ -30,9 +25,16 @@ print(f"sampled {real.num_interferers} interferers in a {ppp.window_radius_R:.0f
 print(f"nearest interferer: {real.interferer_distances.min():.1f} m, "
       f"typical link: {real.typical_distance_r0:.0f} m")
 
+
+def p_success(q):
+    """Per-slot success probability given the geometry, each interferer
+    transmitting with probability q per slot; classical ALOHA draws nothing."""
+    return block_success_prob(real.interferer_distances, [real.num_interferers],
+                              real.typical_distance_r0, channel, Protocol.CLASSICAL, q, rng)[0]
+
+
 # success probability with every interferer transmitting, fading averaged out
-all_active = np.arange(real.num_interferers)
-p_blk = cond_success_prob_block(real, all_active, channel)
+p_blk = p_success(1.0)
 print(f"\nP(success | all active)        = {p_blk:.4f}")
 
 # faded slots agree: unit-mean exponential powers, SINR threshold test
@@ -46,5 +48,4 @@ print(f"empirical over {n} faded slots  = {wins / n:.4f}")
 
 # thinned activity: each interferer transmits with probability q per slot
 for q in (0.2, 0.5, 0.9):
-    p_cls = cond_success_prob_classical(real, q, channel)
-    print(f"P(success | Bernoulli({q}) interferers) = {p_cls:.4f}")
+    print(f"P(success | Bernoulli({q}) interferers) = {p_success(q):.4f}")

@@ -10,9 +10,8 @@ sqrt(64 K D log K) + 4 T D envelope.
 
 import numpy as np
 
-from alohactrl import regret_envelope_explicit, run_ts, sample_ppp
+from alohactrl import block_success_prob, regret_envelope_explicit, run_ts, sample_ppp
 from alohactrl.aloha import Protocol
-from alohactrl.bandit import expected_block_reward
 from alohactrl.config import load_config
 
 config = load_config("fig3")
@@ -26,7 +25,10 @@ trace, history = run_ts(
     config.T, config.K, rng,
 )
 
-mu = [expected_block_reward(realization, a, config.channel, config.T)
+# expected block reward T q P_cls(q) of each arm; the classical kernel draws nothing
+mu = [config.T * a * block_success_prob(
+          realization.interferer_distances, [realization.num_interferers],
+          realization.typical_distance_r0, config.channel, Protocol.CLASSICAL, a, rng)[0]
       for a in config.arms]
 print("\narm   q    E[block reward]   pulls")
 for d, a in enumerate(config.arms):

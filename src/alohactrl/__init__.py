@@ -23,18 +23,13 @@ from .analytics import (
 )
 from .bandit import (
     RegretTrace,
-    batch_update,
-    oracle_arm,
     regret_envelope_explicit,
     run_ts,
-    sample_beta,
     select_arm,
 )
 from .channel import (
     ChannelParams,
     block_success_prob,
-    cond_success_prob_block,
-    cond_success_prob_classical,
     default_channel,
 )
 from .control import (
@@ -55,8 +50,6 @@ from .geometry import (
     NetworkRealization,
     PppConfig,
     default_window_radius,
-    realization_from_json,
-    realization_to_json,
     sample_ppp,
 )
 from .montecarlo import (

@@ -15,11 +15,10 @@ Implements, for the typical pair of a Poisson bipolar network:
   jumps with a closed-form CDF, so one FFT gives it (Embrechts and Frei,
   Math. Methods Oper. Res. 2009).
 
-All integrals are windowed at `QuadratureSpec.outer_limit`; an infinite
-window (`math.inf`) is accepted only for path-loss exponents > 2 and not by
-the meta distribution. They are computed by globally adaptive 7-point Gauss /
-15-point Kronrod quadrature (the qk15 rule of QUADPACK; Piessens et al.,
-Springer 1983) over a vectorized integrand.
+All integrals run over the finite disk window `QuadratureSpec.outer_limit`,
+the one the simulator samples. They are computed by globally adaptive 7-point
+Gauss / 15-point Kronrod quadrature (the qk15 rule of QUADPACK; Piessens et
+al., Springer 1983) over a vectorized integrand.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not self.outer_limit > 0.0:
-            raise ValueError("outer_limit must be > 0 (math.inf for the infinite plane)")
+        if not 0.0 < self.outer_limit < math.inf:
+            raise ValueError("outer_limit must be finite and > 0")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be > 0")
         if self.max_subdivisions < 1:
@@ -142,14 +141,6 @@ def _base_loss(z, q: float, channel: ChannelParams, r0: float, protocol: Protoco
     return q_c * eps * suppression_factors(z, r0, channel)
 
 
-def _check_window(quad: QuadratureSpec, channel: ChannelParams):
-    if math.isinf(quad.outer_limit) and channel.pathloss_exp_alpha <= 2.0:
-        raise ValueError(
-            "infinite-plane integration requires pathloss_exp_alpha > 2; "
-            "use a finite outer_limit for alpha <= 2"
-        )
-
-
 # QUADPACK qk15: Kronrod nodes (largest first; every second one is a Gauss
 # node, the last is 0) with their Kronrod and 7-point Gauss weights.
 _XK = np.array([
@@ -183,29 +174,22 @@ def _gauss_kronrod(g, left, right):
 
 
 def _quad_checked(func, lo, hi, quad: QuadratureSpec) -> float:
-    """Int_lo^hi func (hi may be inf) by globally adaptive Gauss-Kronrod.
+    """Int_lo^hi func by globally adaptive Gauss-Kronrod.
 
     `func` maps an array of abscissae to an array of values. Each interval's
     error is |K15 - G7|; every round bisects, in one batch, each interval
     whose error exceeds its length share of the tolerance, until the summed
     error meets max(abs_tol, rel_tol |value|) with at most
-    `max_subdivisions` intervals. An infinite upper limit is mapped to
-    [0, 1) by z = lo + t/(1 - t).
+    `max_subdivisions` intervals.
     """
-    if math.isinf(hi):
-        def g(t):
-            return func(lo + t / (1.0 - t)) / (1.0 - t) ** 2
-        a, b = 0.0, 1.0
-    else:
-        g, a, b = func, lo, hi
-    left, right = np.array([a]), np.array([b])
-    kronrod, errors = _gauss_kronrod(g, left, right)
+    left, right = np.array([lo]), np.array([hi])
+    kronrod, errors = _gauss_kronrod(func, left, right)
     while True:
         total, error = math.fsum(kronrod), math.fsum(errors)
         tol = max(quad.abs_tol, quad.rel_tol * abs(total))
         if error <= tol:
             return total
-        split = errors > tol * (right - left) / (b - a)
+        split = errors > tol * (right - left) / (hi - lo)
         if left.size + np.count_nonzero(split) > quad.max_subdivisions:
             raise QuadratureError(
                 f"radial quadrature did not converge: error estimate {error:.3e} "
@@ -214,7 +198,7 @@ def _quad_checked(func, lo, hi, quad: QuadratureSpec) -> float:
         mid = 0.5 * (left[split] + right[split])
         new_left = np.concatenate((left[split], mid))
         new_right = np.concatenate((mid, right[split]))
-        new_kronrod, new_errors = _gauss_kronrod(g, new_left, new_right)
+        new_kronrod, new_errors = _gauss_kronrod(func, new_left, new_right)
         keep = ~split
         left = np.concatenate((left[keep], new_left))
         right = np.concatenate((right[keep], new_right))
@@ -234,7 +218,6 @@ def interference_log_integral(
     per-slot thinning sits inside the base).
     """
     protocol = Protocol(protocol)
-    _check_window(quad, channel)
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     lam_eff = q * lam if protocol is Protocol.BLOCK else lam
@@ -469,8 +452,6 @@ def meta_distribution_rested(
     threshold p* in [0, 1] can meet beta (block ALOHA with q < beta).
     """
     protocol = Protocol(protocol)
-    if math.isinf(quad.outer_limit):
-        raise ValueError("meta distribution requires a finite window")
     pstar = inverse_tail_threshold(query.T, query.v, query.q, query.beta, protocol)
     if pstar is None:
         return 0.0

@@ -5,7 +5,8 @@ probability, samples each posterior at the start of a block, broadcasts the
 argmax arm, observes the typical pair's T per-slot acknowledgments for the
 block and batch-updates the pulled arm. The per-block expected reward of arm
 q on a fixed network realization is T * q * P_cls(q) (per-slot marginal
-success probability, identical under block and classical thinning).
+success probability, identical under block and classical thinning); one
+classical `block_success_prob` call per arm gives it for every realization.
 
 `run_ts` is the one TS loop. It runs R decision makers, one per fixed
 realization, in lockstep: the posteriors are (R, D) arrays, and each of the
@@ -29,15 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aloha import Protocol
-from .channel import ChannelParams, block_success_prob, cond_success_prob_classical
-from .geometry import NetworkRealization
+from .channel import ChannelParams, block_success_prob
 
 __all__ = [
     "RegretTrace",
-    "sample_beta",
     "select_arm",
-    "batch_update",
-    "oracle_arm",
     "run_ts",
     "regret_envelope_explicit",
 ]
@@ -59,14 +56,10 @@ class RegretTrace:
     block_rewards: np.ndarray
 
 
-def sample_beta(a, b, rng: np.random.Generator) -> np.ndarray:
+def _sample_beta(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Beta(a, b) draws, elementwise, realized as G_a / (G_a + G_b) from two
     Gamma draws."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not ((a > 0.0).all() and (b > 0.0).all()):
-        raise ValueError("Beta parameters must be > 0")
-    ga = np.asarray(rng.standard_gamma(a))
+    ga = rng.standard_gamma(a)
     total = ga + rng.standard_gamma(b)
     # 0.5 guards the measure-zero underflow of both Gammas
     return np.divide(ga, total, out=np.full_like(total, 0.5), where=total > 0.0)
@@ -75,46 +68,15 @@ def sample_beta(a, b, rng: np.random.Generator) -> np.ndarray:
 def select_arm(a, b, rng: np.random.Generator) -> np.ndarray:
     """Sample every posterior Beta(a, b) and return the argmax along the last
     (arm) axis, the lowest index on ties: one arm per row of (R, D) arrays."""
-    if not np.shape(a)[-1]:
-        raise ValueError("at least one arm is required")
-    return np.argmax(sample_beta(a, b, rng), axis=-1)
+    return np.argmax(_sample_beta(a, b, rng), axis=-1)
 
 
-def batch_update(a: np.ndarray, b: np.ndarray, arm, successes, T: int) -> None:
+def _batch_update(a: np.ndarray, b: np.ndarray, arm, successes, T: int) -> None:
     """End-of-block conjugate update, in place: for each row r,
     a[r, arm[r]] += successes[r] and b[r, arm[r]] += T - successes[r]."""
-    successes = np.asarray(successes)
-    if (successes < 0).any() or (successes > T).any():
-        raise ValueError("block successes must lie in [0, T]")
     rows = np.arange(a.shape[0])
     a[rows, arm] += successes
     b[rows, arm] += T - successes
-
-
-def expected_block_reward(
-    realization: NetworkRealization, q: float, channel: ChannelParams, T: int
-) -> float:
-    """T * q * P_cls(q): expected acknowledgments per block for arm q.
-
-    The per-slot marginal success probability on a fixed realization equals
-    q * P_cls(q) under both protocols (Bernoulli(q) thinning per slot or per
-    block gives the same one-slot marginal).
-    """
-    return T * q * cond_success_prob_classical(realization, q, channel)
-
-
-def oracle_arm(
-    realization: NetworkRealization, arms, channel: ChannelParams, protocol: Protocol,
-    T: int = 1,
-) -> tuple[int, float]:
-    """Best arm on this realization and its expected per-block reward."""
-    Protocol(protocol)  # validated; the reward rate is protocol-independent
-    arms = list(arms)
-    if not arms:
-        raise ValueError("arms must be nonempty")
-    rewards = [expected_block_reward(realization, q, channel, T) for q in arms]
-    idx = int(np.argmax(rewards))
-    return idx, rewards[idx]
 
 
 def run_ts(
@@ -137,8 +99,8 @@ def run_ts(
     length r0. Returns the regret trace (gaps against each realization's
     oracle arm) and posterior snapshots, each an (R, D, 2) array of (a, b).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if K < 1 or T < 1:
+        raise ValueError("K and T must be >= 1")
     protocol = Protocol(protocol)
     realizations = list(realizations)
     if not realizations:
@@ -147,11 +109,15 @@ def run_ts(
     if any(r.typical_distance_r0 != r0 for r in realizations):
         raise ValueError("realizations must share the typical-link length r0")
     arms = np.array([float(q) for q in arms])
+    if not (arms.size and np.all((arms >= 0.0) & (arms <= 1.0))):
+        raise ValueError("arms must be a nonempty list of probabilities in [0, 1]")
     R, D = len(realizations), arms.size
-    mu = np.array([[expected_block_reward(real, q, channel, T) for q in arms]
-                   for real in realizations])
     distances = np.concatenate([r.interferer_distances for r in realizations])
     counts = np.array([r.num_interferers for r in realizations])
+    # expected block reward T q P_cls(q); the classical kernel draws nothing
+    mu = np.stack([T * q * block_success_prob(distances, counts, r0, channel,
+                                              Protocol.CLASSICAL, q, rng)
+                   for q in arms], axis=1)
     rows = np.arange(R)
 
     a = np.ones((R, D))
@@ -169,7 +135,7 @@ def run_ts(
             access = rng.random(R) < q
             p = access * block_success_prob(distances, counts, r0, channel, protocol, q, rng)
         succ = rng.binomial(T, p)
-        batch_update(a, b, d, succ, T)
+        _batch_update(a, b, d, succ, T)
         chosen[k] = d
         rewards[k] = succ
         if snapshot_every and (k + 1) % snapshot_every == 0:

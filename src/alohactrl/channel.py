@@ -4,7 +4,8 @@ of the typical link given the network geometry.
 Fading is averaged out in closed form, so no fading power is ever drawn:
 given the geometry and the active set, the slot successes are i.i.d.
 Bernoulli of that probability, and `block_success_prob` is the one kernel
-every simulated success comes from.
+every success probability comes from: the simulated acknowledgments and the
+Thompson-sampling reward table alike.
 
 Powers are stored in linear watts; helpers convert from dBm / carrier
 frequency, matching the configuration surface.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aloha import Protocol
-from .geometry import NetworkRealization
 
 __all__ = [
     "ChannelParams",
@@ -29,8 +29,6 @@ __all__ = [
     "default_channel",
     "suppression_factors",
     "block_success_prob",
-    "cond_success_prob_block",
-    "cond_success_prob_classical",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -152,31 +150,3 @@ def block_success_prob(
         log_prod = np.bincount(owner, weights=np.log(x), minlength=counts.size)
     return params.noise_success_factor(r0) * np.exp(log_prod)
 
-
-def cond_success_prob_block(
-    realization: NetworkRealization, active_interferers, params: ChannelParams
-) -> float:
-    """Success probability over fading, given the geometry and a fixed active set."""
-    active = np.asarray(active_interferers, dtype=int)
-    noise = params.noise_success_factor(realization.typical_distance_r0)
-    if not active.size:
-        return noise
-    factors = suppression_factors(
-        realization.interferer_distances[active], realization.typical_distance_r0, params
-    )
-    return noise * float(np.prod(factors))
-
-
-def cond_success_prob_classical(
-    realization: NetworkRealization, q: float, params: ChannelParams
-) -> float:
-    """Success probability over fading and per-slot Bernoulli(q) interferer activity."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    noise = params.noise_success_factor(realization.typical_distance_r0)
-    if not realization.num_interferers:
-        return noise
-    factors = suppression_factors(
-        realization.interferer_distances, realization.typical_distance_r0, params
-    )
-    return noise * float(np.prod(q * factors + 1.0 - q))

@@ -168,6 +168,9 @@ def build_experiment_config(data: dict) -> ExperimentConfig:
         elif key is not None:
             channel[field] = _TO_LINEAR.get(key, float)(num[key])
         channel_key[field] = key
+    if "noise_figure_db" in num and channel_key["noise_power_N0"] != "bandwidth_hz":
+        raise ValueError("config key 'noise_figure_db': raises the thermal floor, so it "
+                         "needs 'bandwidth_hz' to set the noise power")
     channel = _build(ChannelParams, channel_key, **channel)
 
     fields = {key: _typed(key, data[key], kind)

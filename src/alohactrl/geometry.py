@@ -7,7 +7,6 @@ since every downstream statistic depends on distances alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ __all__ = [
     "NetworkRealization",
     "default_window_radius",
     "sample_ppp",
-    "realization_to_json",
-    "realization_from_json",
 ]
 
 
@@ -98,20 +95,3 @@ def sample_ppp(config: PppConfig, rng: np.random.Generator) -> NetworkRealizatio
         np.maximum(distances, np.finfo(float).tiny, out=distances)
     return NetworkRealization(distances, config.typical_distance_r0)
 
-
-def realization_to_json(config: PppConfig, realization: NetworkRealization) -> str:
-    """Serialize a realization (with its sampling window) for replay."""
-    record = {
-        "lambda": config.intensity_lambda,
-        "R": config.window_radius_R,
-        "r0": realization.typical_distance_r0,
-        "distances": realization.interferer_distances.tolist(),
-    }
-    return json.dumps(record)
-
-
-def realization_from_json(text: str) -> tuple[PppConfig, NetworkRealization]:
-    record = json.loads(text)
-    config = PppConfig(record["lambda"], record["R"], record["r0"])
-    realization = NetworkRealization(np.asarray(record["distances"], dtype=float), record["r0"])
-    return config, realization

@@ -83,14 +83,12 @@ def success_prob_hand_case():
 
 @check
 def conditional_success_hand_cases():
+    # noiseless: no interferer gives 1, one at the typical distance 1/2, both
+    # with it active (block) and with classical q = 1
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
-    real = geometry.NetworkRealization(np.array([10.0]), 10.0)
-    assert channel.cond_success_prob_block(real, [], params) == 1.0
-    assert abs(channel.cond_success_prob_block(real, [0], params) - 0.5) < 1e-12
-    assert abs(
-        channel.cond_success_prob_classical(real, 1.0, params)
-        - channel.cond_success_prob_block(real, [0], params)
-    ) < 1e-12
+    for protocol in Protocol:
+        p = channel.block_success_prob([10.0], [0, 1], 10.0, params, protocol, 1.0, _rng(0))
+        assert p[0] == 1.0 and abs(p[1] - 0.5) < 1e-12, (protocol, p)
 
 
 @check
@@ -182,28 +180,41 @@ def no_acks_at_q_zero():
 
 @check
 def posterior_bookkeeping():
-    a, b = np.ones((2, 1)), np.ones((2, 1))
-    bandit.batch_update(a, b, [0, 0], [20, 0], 20)
-    assert a[:, 0].tolist() == [21.0, 1.0]
-    assert b[:, 0].tolist() == [1.0, 21.0]
+    # a - 1 sums the arm's block rewards, and (a - 1) + (b - 1) is T per pull
+    params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
+    real = geometry.NetworkRealization(np.array([15.0, 40.0]), 10.0)
+    T, K = 20, 200
+    trace, history = bandit.run_ts([real], [0.3, 1.0], Protocol.BLOCK, params, T, K,
+                                   _rng(5), snapshot_every=K)
+    a, b = history[-1]["posteriors"][0].T
+    for d in range(2):
+        pulled = trace.arm_indices[0] == d
+        assert a[d] - 1 == trace.block_rewards[0, pulled].sum()
+        assert a[d] + b[d] - 2 == T * np.count_nonzero(pulled)
 
 
 @check
 def arm_selection_dominance():
-    rng = _rng(11)
-    a = np.tile([1000.0, 1.0], (1000, 1))
-    picks = bandit.select_arm(a, a[:, ::-1], rng)
-    assert np.count_nonzero(picks == 0) >= 999
+    # noiseless and alone, arm q earns T q a block: q = 1 dominates q = 0.1
+    params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
+    real = geometry.NetworkRealization(np.empty(0), 10.0)
+    trace, _ = bandit.run_ts([real], [0.1, 1.0], Protocol.CLASSICAL, params, 20, 1000,
+                             _rng(11), snapshot_every=0)
+    assert np.count_nonzero(trace.arm_indices[0] == 0) <= 20
 
 
 @check
 def oracle_arm_dense_dummy():
+    # one interferer at r0: arm q earns T q (1 - q/2), largest at q = 1
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
     real = geometry.NetworkRealization(np.array([10.0]), 10.0)
     arms = [round(0.1 * i, 10) for i in range(1, 11)]
-    idx, mu = bandit.oracle_arm(real, arms, params, Protocol.BLOCK, T=20)
-    assert arms[idx] == 1.0
-    assert abs(mu - 20 * 1.0 * 0.5) < 1e-9
+    trace, _ = bandit.run_ts([real], arms, Protocol.BLOCK, params, 20, 50, _rng(0),
+                             snapshot_every=0)
+    assert trace.oracle_arm_index[0] == 9
+    mu = np.array([20 * q * (1 - q / 2) for q in arms])
+    assert np.allclose(trace.per_block_gap[0], mu[9] - mu[trace.arm_indices[0]],
+                       rtol=0, atol=1e-12)
 
 
 @check

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from itertools import product
 
 import numpy as np
 import pytest
@@ -28,9 +27,10 @@ from alohactrl.analytics import (
     prob_block_controllable_restless,
     run_ccdf_demoivre,
 )
-from alohactrl.channel import ChannelParams, cond_success_prob_block
+from alohactrl.channel import ChannelParams, block_success_prob
 from alohactrl.config import load_config
 from alohactrl.montecarlo import estimate_meta_empirical
+from alohactrl.selftest import _enumerate_run_tail as enumerate_run_tail
 
 
 def rng(seed=0):
@@ -41,25 +41,7 @@ def unit_params(alpha=4.0, gamma=1.0, N0=0.0):
     return ChannelParams(1.0, 1.0, alpha, N0, gamma)
 
 
-def enumerate_run_tail(T, v, p):
-    """Exhaustive 2^T oracle for the longest-run tail."""
-    total = 0.0
-    for bits in product((0, 1), repeat=T):
-        run = best = 0
-        for b in bits:
-            run = run + 1 if b else 0
-            best = max(best, run)
-        if best >= v:
-            ones = sum(bits)
-            total += p**ones * (1.0 - p) ** (T - ones)
-    return total
-
-
 class TestRunCcdfDemoivre:
-    def test_small_hand_case(self):
-        # 2^3 enumeration: {111, 110, 011} -> 3/8
-        assert run_ccdf_demoivre(3, 2, 0.5) == pytest.approx(0.375, abs=1e-15)
-
     def test_single_run_length(self):
         for T, p in ((7, 0.25), (15, 0.6)):
             assert run_ccdf_demoivre(T, 1, p) == pytest.approx(1 - (1 - p) ** T, abs=1e-12)
@@ -174,20 +156,12 @@ class TestInterferenceLogIntegral:
         mc = float(np.mean(np.exp(cs[starts[1:]] - cs[starts[:-1]])))
         assert abs(math.exp(expnt) - mc) / mc < 0.02
 
-    def test_infinite_window_requires_alpha_above_two(self):
-        quad = QuadratureSpec(outer_limit=math.inf)
-        with pytest.raises(ValueError):
-            interference_log_integral(
-                1, 0.5, 1e-4, unit_params(alpha=2.0), quad, Protocol.BLOCK, r0=10.0
-            )
-
     @pytest.mark.parametrize("alpha, window", [
-        (alpha, window) for alpha in (2.0, 3.0, 4.0)
-        for window in (500.0, 5000.0, "fig2", math.inf) if window != math.inf or alpha > 2.0
+        (alpha, window) for alpha in (2.0, 3.0, 4.0) for window in (500.0, 5000.0, "fig2")
     ])
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_matches_quadpack(self, protocol, alpha, window):
-        # scipy.integrate.quad (QUADPACK qags/qagi) on the same integrand,
+        # scipy.integrate.quad (QUADPACK qags) on the same integrand,
         # 1 - base^n = -expm1(n log(1 - c)), c = q_c / (1 + (z/r0)^a / gamma)
         fig2 = load_config("fig2")
         L = fig2.ppp.window_radius_R if window == "fig2" else window
@@ -211,12 +185,10 @@ class TestInterferenceLogIntegral:
                 assert got == pytest.approx(want, rel=1e-9), (q, order)
 
     def test_windowed_converges_to_infinite_plane(self):
-        lam, r0 = 1e-4, 10.0
-        params = unit_params(alpha=4.0)
-        inf_val = interference_log_integral(
-            1, 1.0, lam, params, QuadratureSpec(outer_limit=math.inf),
-            Protocol.BLOCK, r0=r0,
-        )
+        # on the whole plane, alpha = 4 gives -lam pi r0^2 sqrt(gamma) Gamma(3/2) Gamma(1/2)
+        lam, r0, gamma = 1e-4, 10.0, 1.0
+        params = unit_params(alpha=4.0, gamma=gamma)
+        inf_val = -lam * math.pi * r0**2 * math.sqrt(gamma) * math.pi / 2.0
         win_val = interference_log_integral(
             1, 1.0, lam, params, QuadratureSpec(outer_limit=5000.0),
             Protocol.BLOCK, r0=r0,
@@ -262,8 +234,8 @@ class TestMomentZeta:
         vals = np.empty(n)
         for i in range(n):
             real = sample_ppp(cfg, g)
-            active = np.flatnonzero(g.random(real.num_interferers) < q)
-            vals[i] = cond_success_prob_block(real, active, params)
+            vals[i] = block_success_prob(real.interferer_distances, [real.num_interferers],
+                                         r0, params, Protocol.BLOCK, q, g)[0]
         assert abs(vals.mean() - want) / want < 0.02
 
 
@@ -413,7 +385,6 @@ class TestMetaDistribution:
     def test_empirical_ccdf_oracle_classical(self):
         # fraction of realizations with P_cls >= p* over sampled geometries
         from alohactrl.geometry import PppConfig, sample_ppp
-        from alohactrl.channel import cond_success_prob_classical
 
         lam, q, beta, r0, R = 1e-4, 0.7, 0.7, 10.0, 500.0
         params = unit_params()
@@ -427,7 +398,8 @@ class TestMetaDistribution:
         hits = 0
         for _ in range(n):
             real = sample_ppp(cfg, g)
-            hits += cond_success_prob_classical(real, q, params) >= pstar
+            hits += block_success_prob(real.interferer_distances, [real.num_interferers],
+                                       r0, params, Protocol.CLASSICAL, q, g)[0] >= pstar
         emp = hits / n
         assert abs(analytic - emp) < 0.015
 
@@ -435,7 +407,6 @@ class TestMetaDistribution:
         # vanishing-base grid at the slowest-decay exponent still inverts
         # and agrees with the empirical tail fraction
         from alohactrl.geometry import PppConfig, sample_ppp
-        from alohactrl.channel import cond_success_prob_block
 
         lam, q, beta, r0, R = 5e-4, 0.8, 0.6, 10.0, 224.0
         params = unit_params(alpha=2.0)
@@ -449,20 +420,16 @@ class TestMetaDistribution:
         hits = 0
         for _ in range(n):
             real = sample_ppp(cfg, g)
-            active = np.flatnonzero(g.random(real.num_interferers) < q)
-            hits += cond_success_prob_block(real, active, params) >= pstar
+            hits += block_success_prob(real.interferer_distances, [real.num_interferers],
+                                       r0, params, Protocol.BLOCK, q, g)[0] >= pstar
         assert abs(analytic - hits / n) < 0.02
 
-    def test_infinite_window_rejected_before_grid(self, monkeypatch):
-        def no_law(*args):
-            raise AssertionError("FFT law computed for an infinite window")
-
-        monkeypatch.setattr(analytics, "_log_success_law", no_law)
-        quad = QuadratureSpec(outer_limit=math.inf)
-        for q in (0.7, 0.5):  # q = 0.5 < beta has no threshold p*
-            query = MetaQuery(4, 0.6, 20, q, 1e-4, unit_params(alpha=4.0), 10.0)
-            with pytest.raises(ValueError, match="finite window"):
-                meta_distribution_rested(query, quad, Protocol.BLOCK)
+    def test_infinite_window_rejected_before_grid(self):
+        # every integral runs over the simulator's finite disk window, so an
+        # infinite one is refused where the window is given
+        for limit in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="finite"):
+                QuadratureSpec(outer_limit=limit)
 
 
 def fig4_point(q, beta=0.9):

@@ -6,15 +6,13 @@ from scipy import stats
 
 from alohactrl.aloha import Protocol
 from alohactrl.bandit import (
-    batch_update,
-    expected_block_reward,
-    oracle_arm,
+    _batch_update as batch_update,
+    _sample_beta as sample_beta,
     regret_envelope_explicit,
     run_ts,
-    sample_beta,
     select_arm,
 )
-from alohactrl.channel import ChannelParams
+from alohactrl.channel import ChannelParams, block_success_prob
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 
 
@@ -24,6 +22,13 @@ def rng(seed=0):
 
 def unit_params(alpha=2.0, gamma=1.0, N0=0.0):
     return ChannelParams(1.0, 1.0, alpha, N0, gamma)
+
+
+def block_reward(real, q, params, T):
+    """Expected block reward T q P_cls(q) of arm q, from the success kernel."""
+    return T * q * block_success_prob(real.interferer_distances, [real.num_interferers],
+                                      real.typical_distance_r0, params, Protocol.CLASSICAL,
+                                      q, rng())[0]
 
 
 class TestSampleBeta:
@@ -40,12 +45,6 @@ class TestSampleBeta:
     def test_concentration_near_one(self):
         draws = sample_beta(np.full(1000, 1000.0), np.ones(1000), rng(3))
         assert draws.min() > 0.98
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_beta(0.0, 1.0, rng(4))
-        with pytest.raises(ValueError):
-            sample_beta(np.ones((2, 3)), np.array([1.0, 0.0, 1.0]), rng(4))
 
 
 class TestSelectArm:
@@ -83,12 +82,12 @@ def fresh(R, D):
 class TestBatchUpdate:
     def test_all_successes(self):
         a, b = fresh(1, 1)
-        batch_update(a, b, [0], [20], 20)
+        batch_update(a, b, [0], np.array([20]), 20)
         assert (a[0, 0], b[0, 0]) == (21.0, 1.0)
 
     def test_all_failures(self):
         a, b = fresh(1, 1)
-        batch_update(a, b, [0], [0], 20)
+        batch_update(a, b, [0], np.array([0]), 20)
         assert (a[0, 0], b[0, 0]) == (1.0, 21.0)
 
     def test_sequential_equals_batch(self):
@@ -96,21 +95,14 @@ class TestBatchUpdate:
         acks = (g.random(20) < 0.4).astype(int)
         seq_a, seq_b = fresh(1, 1)
         for s in acks:
-            batch_update(seq_a, seq_b, [0], [s], 1)
+            batch_update(seq_a, seq_b, [0], np.array([s]), 1)
         a, b = fresh(1, 1)
-        batch_update(a, b, [0], [acks.sum()], 20)
+        batch_update(a, b, [0], np.array([acks.sum()]), 20)
         assert np.array_equal(seq_a, a) and np.array_equal(seq_b, b)
-
-    def test_range_check(self):
-        a, b = fresh(2, 1)
-        with pytest.raises(ValueError):
-            batch_update(a, b, [0, 0], [3, 21], 20)
-        with pytest.raises(ValueError):
-            batch_update(a, b, [0, 0], [-1, 3], 20)
 
     def test_each_row_updates_its_pulled_arm(self):
         a, b = fresh(3, 4)
-        batch_update(a, b, [2, 0, 2], [5, 1, 0], 10)
+        batch_update(a, b, [2, 0, 2], np.array([5, 1, 0]), 10)
         want_a, want_b = fresh(3, 4)
         want_a[0, 2], want_b[0, 2] = 6.0, 6.0
         want_a[1, 0], want_b[1, 0] = 2.0, 10.0
@@ -119,13 +111,17 @@ class TestBatchUpdate:
 
 
 class TestOracleArm:
+    """`RegretTrace.oracle_arm_index` and the reward table behind the gaps."""
+
     def test_no_interferers_prefers_largest_q(self):
         params = ChannelParams(1.0, 1.0, 2.0, 1e-4, 1.0)
         real = NetworkRealization(np.empty(0), 10.0)
         arms = [0.2, 0.5, 1.0]
-        idx, mu = oracle_arm(real, arms, params, Protocol.BLOCK, T=20)
-        assert arms[idx] == 1.0
-        assert mu == pytest.approx(20 * 1.0 * params.noise_success_factor(10.0))
+        trace, _ = run_ts([real], arms, Protocol.BLOCK, params, 20, 50, rng(22))
+        assert trace.oracle_arm_index.tolist() == [2]
+        mu = 20 * np.array(arms) * params.noise_success_factor(10.0)
+        gaps = mu[2] - mu[trace.arm_indices[0]]
+        assert np.allclose(trace.per_block_gap[0], gaps, rtol=1e-12, atol=0.0)
 
     def test_dense_dummy_scalar_calculus(self):
         # single interferer at r0 with gamma=1: mu(q) = T q (q/2 + 1 - q),
@@ -133,11 +129,11 @@ class TestOracleArm:
         params = unit_params()
         real = NetworkRealization(np.array([10.0]), 10.0)
         arms = [round(0.1 * i, 10) for i in range(1, 11)]
-        idx, mu = oracle_arm(real, arms, params, Protocol.CLASSICAL, T=20)
-        assert arms[idx] == 1.0
+        trace, _ = run_ts([real], arms, Protocol.CLASSICAL, params, 20, 50, rng(23))
+        assert trace.oracle_arm_index.tolist() == [9]
         for q in arms:
             want = 20 * q * (q * 0.5 + 1 - q)
-            assert expected_block_reward(real, q, params, 20) == pytest.approx(want)
+            assert block_reward(real, q, params, 20) == pytest.approx(want)
 
     def test_reward_matches_simulator_both_protocols(self):
         # validates the per-slot marginal equivalence of block and classical
@@ -148,7 +144,7 @@ class TestOracleArm:
         T, n_blocks = 20, 20_000
         for protocol in (Protocol.BLOCK, Protocol.CLASSICAL):
             for q in (0.3, 0.8):
-                want = expected_block_reward(real, q, params, T)
+                want = block_reward(real, q, params, T)
                 trace, _ = run_ts([real], [q], protocol, params, T, n_blocks, g,
                                   snapshot_every=0)
                 rewards = trace.block_rewards[0]
@@ -178,7 +174,11 @@ class TestRunTs:
         assert np.all(trace.per_block_gap >= 0.0)
         assert np.allclose(trace.cumulative, np.cumsum(trace.per_block_gap, axis=1))
         for r, real in enumerate(reals):
-            mu = np.array([expected_block_reward(real, q, params, 20) for q in arms])
+            # one kernel call: the realization once per arm, each with its arm as q
+            mu = 20 * np.array(arms) * block_success_prob(
+                np.tile(real.interferer_distances, len(arms)),
+                [real.num_interferers] * len(arms), 10.0, params, Protocol.CLASSICAL, arms,
+                rng())
             assert trace.oracle_arm_index[r] == np.argmax(mu)
             assert np.array_equal(trace.per_block_gap[r], mu.max() - mu[trace.arm_indices[r]])
 
@@ -214,7 +214,7 @@ class TestRunTs:
             for r, real in enumerate(reals):
                 rewards = trace.block_rewards[r]
                 se = rewards.std(ddof=1) / math.sqrt(K)
-                want = expected_block_reward(real, q, params, T)
+                want = block_reward(real, q, params, T)
                 assert abs(rewards.mean() - want) < 4 * se, (protocol, r)
             corr = np.corrcoef(trace.block_rewards)[np.triu_indices(3, 1)]
             assert np.all(np.abs(corr) < 4 / math.sqrt(K)), (protocol, corr)
@@ -237,6 +237,10 @@ class TestRunTs:
         assert [h["block"] for h in history] == [100, 200]
         assert all(h["posteriors"].shape == (3, 2, 2) for h in history)
 
+    def test_empty_arm_list_rejected(self):
+        with pytest.raises(ValueError):
+            run_ts(realizations(2, 24), [], Protocol.BLOCK, unit_params(), 5, 10, rng(24))
+
     def test_realizations_must_share_r0(self):
         reals = [NetworkRealization(np.empty(0), 10.0), NetworkRealization(np.empty(0), 12.0)]
         with pytest.raises(ValueError):
@@ -244,10 +248,6 @@ class TestRunTs:
 
 
 class TestEnvelopes:
-    def test_explicit_envelope_value(self):
-        want = math.sqrt(64 * 5000 * 10 * math.log(5000)) + 4 * 20 * 10
-        assert regret_envelope_explicit(5000, 20, 10) == pytest.approx(want)
-
     def test_monotone(self):
         base = regret_envelope_explicit(100, 10, 5)
         assert regret_envelope_explicit(200, 10, 5) > base

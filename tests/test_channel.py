@@ -7,14 +7,11 @@ from alohactrl.aloha import Protocol
 from alohactrl.channel import (
     ChannelParams,
     block_success_prob,
-    cond_success_prob_block,
-    cond_success_prob_classical,
     dbm_to_watts,
     default_channel,
     freespace_pathloss_const,
     thermal_noise_watts,
 )
-from alohactrl.geometry import NetworkRealization
 
 
 def rng(seed=0):
@@ -23,6 +20,22 @@ def rng(seed=0):
 
 def unit_params(alpha=2.0, gamma=1.0, N0=0.0):
     return ChannelParams(1.0, 1.0, alpha, N0, gamma)
+
+
+def kernel_one(distances, q, params, protocol=Protocol.CLASSICAL):
+    """The kernel on one realization with r0 = 10; classical ALOHA at q = 1
+    has every interferer active."""
+    return block_success_prob(distances, [len(distances)], 10.0, params, protocol, q, rng())[0]
+
+
+def direct_success(distances, q, params, r0=10.0):
+    """noise * prod (q / (1 + gamma (z/r0)^-alpha) + 1 - q), written out
+    independently of the kernel: each interferer is active with probability q."""
+    gamma, alpha = params.sinr_threshold_gamma, params.pathloss_exp_alpha
+    noise = math.exp(-gamma * params.noise_power_N0 * r0**alpha
+                     / (params.tx_power_eta * params.pathloss_const_rho))
+    x = 1.0 / (1.0 + gamma * (np.asarray(distances, dtype=float) / r0) ** -alpha)
+    return noise * float(np.prod(q * x + 1.0 - q))
 
 
 class TestUnits:
@@ -65,33 +78,26 @@ class TestSinr:
         p = block_success_prob([10.0], [1], 10.0, unit_params(), Protocol.BLOCK, 1.0, rng())
         assert p[0] == pytest.approx(0.5)
 
-    def test_hand_arithmetic(self):
-        # r0=10, r1=20, alpha=2, no noise: 1 / (1 + (20/10)^-2) = 0.8
-        for protocol in Protocol:
-            p = block_success_prob([20.0], [1], 10.0, unit_params(), protocol, 1.0, rng())
-            assert p[0] == pytest.approx(0.8, abs=1e-12)
-
 
 class TestConditionalSuccessBlock:
+    """The kernel with every interferer active."""
+
     def test_empty_product(self):
-        real = NetworkRealization(np.empty(0), 10.0)
-        assert cond_success_prob_block(real, [], unit_params()) == 1.0
+        assert kernel_one([], 1.0, unit_params()) == 1.0
 
     def test_equal_pathloss_halves(self):
-        real = NetworkRealization(np.array([10.0]), 10.0)
-        assert cond_success_prob_block(real, [0], unit_params()) == pytest.approx(0.5)
+        assert kernel_one([10.0], 1.0, unit_params()) == pytest.approx(0.5)
 
     def test_matches_fading_monte_carlo(self):
         # fixed realization {r0=10, r1=15, r2=40}, alpha=2, gamma=1, N0=0
         params = unit_params()
-        real = NetworkRealization(np.array([15.0, 40.0]), 10.0)
-        active = [0, 1]
-        want = cond_success_prob_block(real, active, params)
+        distances = np.array([15.0, 40.0])
+        want = kernel_one(distances, 1.0, params)
         g = rng(5)
         n = 1_000_000
         h0 = g.exponential(1.0, n)
         h = g.exponential(1.0, (n, 2))
-        coeffs = params.rx_power_coeff(real.interferer_distances[active])
+        coeffs = params.rx_power_coeff(distances)
         sig = params.rx_power_coeff(10.0) * h0
         interference = h @ coeffs
         emp = float(np.mean(sig / interference > 1.0))
@@ -99,47 +105,44 @@ class TestConditionalSuccessBlock:
         assert abs(emp - want) < 3 * se
 
     def test_monotone_in_interferers_and_gamma(self):
-        real = NetworkRealization(np.array([12.0, 25.0, 60.0]), 10.0)
-        p0 = cond_success_prob_block(real, [0], unit_params())
-        p01 = cond_success_prob_block(real, [0, 1], unit_params())
-        p012 = cond_success_prob_block(real, [0, 1, 2], unit_params())
+        distances = [12.0, 25.0, 60.0]
+        p0, p01, p012 = (kernel_one(distances[:n], 1.0, unit_params()) for n in (1, 2, 3))
         assert 1.0 >= p0 >= p01 >= p012 >= 0.0
-        harder = cond_success_prob_block(real, [0, 1, 2], unit_params(gamma=2.0))
+        harder = kernel_one(distances, 1.0, unit_params(gamma=2.0))
         assert harder <= p012
 
 
 class TestConditionalSuccessClassical:
+    """The kernel under per-slot Bernoulli(q) interferer activity."""
+
     def test_q_zero_noise_only(self):
         params = ChannelParams(1.0, 1.0, 2.0, 1e-3, 1.0)
-        real = NetworkRealization(np.array([15.0]), 10.0)
         want = params.noise_success_factor(10.0)
-        assert cond_success_prob_classical(real, 0.0, params) == pytest.approx(want)
+        assert kernel_one([15.0], 0.0, params) == pytest.approx(want)
 
     def test_q_one_is_block_all_active(self):
         params = unit_params()
-        real = NetworkRealization(np.array([15.0, 40.0]), 10.0)
-        assert cond_success_prob_classical(real, 1.0, params) == pytest.approx(
-            cond_success_prob_block(real, [0, 1], params)
+        assert kernel_one([15.0, 40.0], 1.0, params) == pytest.approx(
+            kernel_one([15.0, 40.0], 1.0, params, Protocol.BLOCK)
         )
 
     def test_matches_thinning_monte_carlo(self):
+        # block ALOHA draws one Bernoulli(q) activity per interferer, so n
+        # blocks of the same realization sample the thinned active set n times
         params = unit_params()
-        real = NetworkRealization(np.array([13.0, 22.0, 45.0, 80.0]), 10.0)
+        distances = np.array([13.0, 22.0, 45.0, 80.0])
         q = 0.6
-        want = cond_success_prob_classical(real, q, params)
+        want = kernel_one(distances, q, params)
         g = rng(9)
         n = 100_000
-        vals = np.empty(n)
-        for i in range(n):
-            active = np.flatnonzero(g.random(4) < q)
-            vals[i] = cond_success_prob_block(real, active, params)
+        vals = block_success_prob(np.tile(distances, n), np.full(n, 4), 10.0, params,
+                                  Protocol.BLOCK, q, g)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - want) < 3 * se
 
     def test_monotone_in_q(self):
         params = unit_params()
-        real = NetworkRealization(np.array([15.0, 30.0]), 10.0)
-        values = [cond_success_prob_classical(real, q, params) for q in np.linspace(0, 1, 11)]
+        values = [kernel_one([15.0, 30.0], q, params) for q in np.linspace(0, 1, 11)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
@@ -167,25 +170,22 @@ class TestBlockSuccessProb:
         active = rng(seed).random(distances.size) < q
         assert p.shape == (len(counts),)
         for b, seg in enumerate(segments(distances, counts)):
-            real = NetworkRealization(distances[seg], 10.0)
-            want = cond_success_prob_block(real, np.flatnonzero(active[seg]), self.params)
+            want = direct_success(distances[seg][active[seg]], 1.0, self.params)
             assert abs(p[b] - want) <= 1e-12, (b, p[b], want)
 
     def check_classical(self, distances, counts, q):
         p = block_success_prob(distances, counts, 10.0, self.params, Protocol.CLASSICAL, q, rng())
         assert p.shape == (len(counts),)
         for b, seg in enumerate(segments(distances, counts)):
-            want = cond_success_prob_classical(
-                NetworkRealization(distances[seg], 10.0), q, self.params
-            )
+            want = direct_success(distances[seg], q, self.params)
             assert abs(p[b] - want) <= 1e-12, (b, p[b], want)
 
-    def test_block_matches_cond_success_prob_block(self):
+    def test_block_matches_direct_product(self):
         distances, counts = segmented_geometry(rng(31))
         for q in (0.0, 0.4, 1.0):
             self.check_block(distances, counts, q, seed=32)
 
-    def test_classical_matches_cond_success_prob_classical(self):
+    def test_classical_matches_direct_product(self):
         distances, counts = segmented_geometry(rng(33))
         for q in (0.0, 0.3, 1.0):
             self.check_classical(distances, counts, q)
@@ -193,10 +193,10 @@ class TestBlockSuccessProb:
     def test_fixed_geometry_segments(self):
         # one realization repeated as segments, as the fixed-geometry simulator
         # feeds it; an empty realization gives the noise factor alone
-        real = NetworkRealization(np.array([12.0, 30.0, 55.0, 140.0]), 10.0)
+        distances = np.array([12.0, 30.0, 55.0, 140.0])
         n_blocks = 50
-        tiled = np.tile(real.interferer_distances, n_blocks)
-        counts = np.full(n_blocks, real.num_interferers)
+        tiled = np.tile(distances, n_blocks)
+        counts = np.full(n_blocks, distances.size)
         self.check_block(tiled, counts, 0.5, seed=34)
         self.check_classical(tiled, counts, 0.5)
         for protocol in Protocol:

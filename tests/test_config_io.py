@@ -98,6 +98,7 @@ BAD_VALUES = [
     ("bandwidth_hz", {"bandwidth_hz": -2e8}),
     ("noise_power_w", {"noise_power_w": -1e-12}),
     ("noise_figure_db", {"noise_figure_db": "x"}),
+    ("noise_figure_db", {"noise_figure_db": 7, "noise_power_dbm": -90}),
     ("T", {"T": 0}),
     ("v", {"v": 0}),
     ("K", {"K": 0}),

@@ -127,12 +127,6 @@ class TestHoldingAndFeedback:
         sys = LtiSystem(0.5 * np.eye(2), np.eye(2), [0.0, 0.0])
         assert np.allclose(holding_input(sys), 0.0)
 
-    def test_hand_arithmetic(self):
-        sys = LtiSystem(0.5 * np.eye(2), np.eye(2), [2.0, 2.0])
-        u = holding_input(sys)
-        assert np.allclose(u, [1.0, 1.0])
-        assert np.allclose(sys.A @ sys.x_des + sys.B @ u, sys.x_des)
-
     def test_scalar_feedback(self):
         sys = LtiSystem([[0.9]], [[2.0]], [0.0])
         u = feedback_input(sys, [10.0])

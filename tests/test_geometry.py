@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,8 +8,6 @@ from alohactrl.geometry import (
     NetworkRealization,
     PppConfig,
     default_window_radius,
-    realization_from_json,
-    realization_to_json,
     sample_ppp,
 )
 
@@ -93,16 +90,6 @@ class TestSamplePpp:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        cfg = PppConfig(5e-3, 100.0, 10.0)
-        real = sample_ppp(cfg, rng(3))
-        text = realization_to_json(cfg, real)
-        cfg2, real2 = realization_from_json(text)
-        assert cfg2 == cfg
-        assert np.array_equal(real2.interferer_distances, real.interferer_distances)
-        record = json.loads(text)
-        assert set(record) == {"lambda", "R", "r0", "distances"}
-
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
             NetworkRealization(np.array([1.0, -2.0]), 10.0)

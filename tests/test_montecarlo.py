@@ -10,7 +10,7 @@ from alohactrl.aloha import Protocol
 from alohactrl.bandit import run_ts
 from alohactrl.cli import main as cli_main
 from alohactrl.config import load_config
-from alohactrl.channel import ChannelParams, cond_success_prob_classical, default_channel
+from alohactrl.channel import ChannelParams, block_success_prob, default_channel
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
@@ -92,7 +92,9 @@ class TestSimulateAckBlocks:
         acks = simulate_ack_blocks(PppConfig(5e-4, 150.0, 10.0), params, protocol, q, T,
                                    n_blocks, np.random.SeedSequence(8), realization=real)
         totals = acks.sum(axis=1)
-        want = T * q * cond_success_prob_classical(real, q, params)
+        want = T * q * block_success_prob(real.interferer_distances, [real.num_interferers],
+                                          10.0, params, Protocol.CLASSICAL, q,
+                                          np.random.default_rng(0))[0]
         se = totals.std(ddof=1) / math.sqrt(n_blocks)
         assert abs(totals.mean() - want) < 3 * se
 
