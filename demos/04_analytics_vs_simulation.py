@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from alohactrl import ChannelParams, PppConfig, QuadratureSpec
+from alohactrl import ChannelParams, PppConfig
 from alohactrl.aloha import Protocol
 from alohactrl.analytics import prob_block_controllable_restless
 from alohactrl.control import longest_runs
@@ -18,7 +18,6 @@ from alohactrl.montecarlo import simulate_ack_blocks
 lam, r0, R = 1e-4, 10.0, 500.0
 params = ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0)
 ppp = PppConfig(lam, R, r0)
-quad = QuadratureSpec(outer_limit=R)
 T, v, n_blocks = 20, 4, 20_000
 
 print(f"restless system, block ALOHA, T={T}, v={v}, lambda={lam:g}, "
@@ -31,9 +30,7 @@ for i, q in enumerate([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]):
     )
     emp = float(np.mean(longest_runs(acks) >= v))
     hw = 1.96 * math.sqrt(emp * (1 - emp) / n_blocks)
-    analytic = prob_block_controllable_restless(
-        T, v, q, lam, params, quad, Protocol.BLOCK, r0=r0
-    )
+    analytic = prob_block_controllable_restless(T, v, q, ppp, params, Protocol.BLOCK)
     ok = "yes" if abs(emp - analytic) <= max(hw, 0.01) else "NO"
     print(f"  {q:.1f}  |  {emp:.4f} +- {hw:.4f}  |  {analytic:.4f}  |   {ok}")
 

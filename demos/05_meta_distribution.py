@@ -8,7 +8,7 @@ of -ln P, and is compared against the empirical fraction over sampled
 geometries.
 """
 
-from alohactrl import ChannelParams, MetaQuery, PppConfig, QuadratureSpec
+from alohactrl import ChannelParams, MetaQuery, PppConfig
 from alohactrl.aloha import Protocol
 from alohactrl.analytics import meta_distribution_rested
 from alohactrl.montecarlo import ExperimentConfig, estimate_meta_empirical
@@ -16,7 +16,6 @@ from alohactrl.montecarlo import ExperimentConfig, estimate_meta_empirical
 lam, r0, R = 1e-4, 10.0, 500.0
 params = ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0)
 ppp = PppConfig(lam, R, r0)
-quad = QuadratureSpec(outer_limit=R)
 T, v, q = 20, 4, 0.7
 cfg = ExperimentConfig(ppp=ppp, channel=params, T=T, v=v,
                        num_realizations=4000, seed=55)
@@ -26,9 +25,7 @@ print("protocol   | beta | FFT law   | empirical (4000 realizations)")
 print("-----------+------+-----------+------------------------------")
 for protocol in (Protocol.CLASSICAL, Protocol.BLOCK):
     for beta in (0.5, 0.7, 0.9):
-        analytic = meta_distribution_rested(
-            MetaQuery(v, beta, T, q, lam, params, r0), quad, protocol
-        )
+        analytic = meta_distribution_rested(MetaQuery(v, beta, T, q, params), ppp, protocol)
         empirical = estimate_meta_empirical(cfg, protocol, q, beta)
         print(f"{protocol.value:10s} | {beta:.1f}  |  {analytic:.4f}   |  {empirical:.4f}")
 

@@ -12,7 +12,6 @@ from .aloha import Protocol
 from .analytics import (
     MetaQuery,
     QuadratureError,
-    QuadratureSpec,
     binomial_tail,
     interference_log_integral,
     inverse_tail_threshold,
@@ -60,7 +59,6 @@ from .montecarlo import (
     estimate_meta_empirical,
     run_regret_study,
     simulate_ack_blocks,
-    window_quadrature,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

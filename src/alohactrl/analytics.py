@@ -15,8 +15,9 @@ Implements, for the typical pair of a Poisson bipolar network:
   jumps with a closed-form CDF, so one FFT gives it (Embrechts and Frei,
   Math. Methods Oper. Res. 2009).
 
-All integrals run over the finite disk window `QuadratureSpec.outer_limit`,
-the one the simulator samples. They are computed by globally adaptive 7-point
+The network is the simulator's own `geometry.PppConfig`: its density, its
+typical pair distance and the finite disk window that all integrals run
+over. The integrals are computed by globally adaptive 7-point
 Gauss / 15-point Kronrod quadrature (the qk15 rule of QUADPACK; Piessens et
 al., Springer 1983) over a vectorized integrand.
 """
@@ -33,9 +34,9 @@ from numpy import fft
 
 from .aloha import Protocol
 from .channel import ChannelParams, suppression_factors
+from .geometry import PppConfig
 
 __all__ = [
-    "QuadratureSpec",
     "MetaQuery",
     "QuadratureError",
     "run_ccdf_demoivre",
@@ -57,24 +58,6 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Window and tolerance control for the radial integrals."""
-
-    outer_limit: float
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.outer_limit < math.inf:
-            raise ValueError("outer_limit must be finite and > 0")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
 class MetaQuery:
     """Inputs of one meta-distribution evaluation."""
 
@@ -82,9 +65,7 @@ class MetaQuery:
     beta: float
     T: int
     q: float
-    intensity_lambda: float
     channel: ChannelParams
-    r0: float
 
     def __post_init__(self):
         if self.v < 1:
@@ -95,10 +76,6 @@ class MetaQuery:
             raise ValueError("T must be >= v")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
-        if self.intensity_lambda < 0.0:
-            raise ValueError("intensity_lambda must be >= 0")
-        if self.r0 <= 0.0:
-            raise ValueError("r0 must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +118,12 @@ def _base_loss(z, q: float, channel: ChannelParams, r0: float, protocol: Protoco
     return q_c * eps * suppression_factors(z, r0, channel)
 
 
+# The radial quadrature stops once its summed error estimate meets
+# max(_ABS_TOL, _REL_TOL |value|), and fails beyond _MAX_INTERVALS intervals.
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-10
+_MAX_INTERVALS = 200
+
 # QUADPACK qk15: Kronrod nodes (largest first; every second one is a Gauss
 # node, the last is 0) with their Kronrod and 7-point Gauss weights.
 _XK = np.array([
@@ -173,27 +156,27 @@ def _gauss_kronrod(g, left, right):
     return kronrod, np.abs(kronrod - half * (values @ _GAUSS))
 
 
-def _quad_checked(func, lo, hi, quad: QuadratureSpec) -> float:
+def _quad_checked(func, lo, hi) -> float:
     """Int_lo^hi func by globally adaptive Gauss-Kronrod.
 
     `func` maps an array of abscissae to an array of values. Each interval's
     error is |K15 - G7|; every round bisects, in one batch, each interval
     whose error exceeds its length share of the tolerance, until the summed
-    error meets max(abs_tol, rel_tol |value|) with at most
-    `max_subdivisions` intervals.
+    error meets max(_ABS_TOL, _REL_TOL |value|) with at most _MAX_INTERVALS
+    intervals.
     """
     left, right = np.array([lo]), np.array([hi])
     kronrod, errors = _gauss_kronrod(func, left, right)
     while True:
         total, error = math.fsum(kronrod), math.fsum(errors)
-        tol = max(quad.abs_tol, quad.rel_tol * abs(total))
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
         if error <= tol:
             return total
         split = errors > tol * (right - left) / (hi - lo)
-        if left.size + np.count_nonzero(split) > quad.max_subdivisions:
+        if left.size + np.count_nonzero(split) > _MAX_INTERVALS:
             raise QuadratureError(
                 f"radial quadrature did not converge: error estimate {error:.3e} "
-                f"above tolerance {tol:.3e} with {quad.max_subdivisions} intervals", error
+                f"above tolerance {tol:.3e} with {_MAX_INTERVALS} intervals", error
             )
         mid = 0.5 * (left[split] + right[split])
         new_left = np.concatenate((left[split], mid))
@@ -207,19 +190,19 @@ def _quad_checked(func, lo, hi, quad: QuadratureSpec) -> float:
 
 
 def interference_log_integral(
-    order: int, q: float, lam: float, channel: ChannelParams,
-    quad: QuadratureSpec, protocol: Protocol, *, r0: float,
+    order: int, q: float, ppp: PppConfig, channel: ChannelParams, protocol: Protocol,
 ):
     """log of the PGFL interference factor for the given moment order.
 
-    Returns -2 pi lam_eff * Int_0^L (1 - base(z)^order) z dz, where the
-    thinned intensity lam_eff is q*lam for block ALOHA (only active
-    interferers enter the product) and lam for classical ALOHA (the
-    per-slot thinning sits inside the base).
+    Returns -2 pi lam_eff * Int_0^R (1 - base(z)^order) z dz over the window
+    radius R, where the thinned intensity lam_eff is q*lam for block ALOHA
+    (only active interferers enter the product) and lam for classical ALOHA
+    (the per-slot thinning sits inside the base).
     """
     protocol = Protocol(protocol)
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
+    lam, r0 = ppp.intensity_lambda, ppp.typical_distance_r0
     lam_eff = q * lam if protocol is Protocol.BLOCK else lam
     if lam_eff == 0.0 or order == 0:
         return 0.0
@@ -227,13 +210,12 @@ def interference_log_integral(
     def f(z):
         return -np.expm1(order * np.log1p(-_base_loss(z, q, channel, r0, protocol))) * z
 
-    integral = _quad_checked(f, 0.0, quad.outer_limit, quad)
+    integral = _quad_checked(f, 0.0, ppp.window_radius_R)
     return -2.0 * math.pi * lam_eff * integral
 
 
 def moment_zeta(
-    l: int, q: float, lam: float, channel: ChannelParams,
-    quad: QuadratureSpec, protocol: Protocol, *, r0: float,
+    l: int, q: float, ppp: PppConfig, channel: ChannelParams, protocol: Protocol,
 ) -> float:
     """l-th moment of the conditional success probability.
 
@@ -243,8 +225,8 @@ def moment_zeta(
     protocol = Protocol(protocol)
     if l < 1:
         raise ValueError("l must be a positive integer")
-    noise = channel.noise_success_factor(r0, power=float(l))
-    exponent = interference_log_integral(l, q, lam, channel, quad, protocol, r0=r0)
+    noise = channel.noise_success_factor(ppp.typical_distance_r0, power=float(l))
+    exponent = interference_log_integral(l, q, ppp, channel, protocol)
     value = noise * math.exp(exponent)
     if protocol is Protocol.CLASSICAL:
         value *= q ** l
@@ -252,8 +234,7 @@ def moment_zeta(
 
 
 def prob_block_controllable_restless(
-    T: int, v: int, q: float, lam: float, channel: ChannelParams,
-    quad: QuadratureSpec, protocol: Protocol, *, r0: float,
+    T: int, v: int, q: float, ppp: PppConfig, channel: ChannelParams, protocol: Protocol,
 ) -> float:
     """Network-averaged probability of a length-v success run in a block.
 
@@ -268,14 +249,12 @@ def prob_block_controllable_restless(
         raise ValueError("need 1 <= v <= T")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if q == 0.0:
-        return 0.0
 
     cache: dict[int, float] = {}
 
     def zeta(order: int) -> float:
         if order not in cache:
-            cache[order] = moment_zeta(order, q, lam, channel, quad, protocol, r0=r0)
+            cache[order] = moment_zeta(order, q, ppp, channel, protocol)
         return cache[order]
 
     lmax = (T + 1) // (v + 1)
@@ -298,7 +277,7 @@ def prob_block_controllable_restless(
         raise QuadratureError(
             f"alternating-sum cancellation {largest / abs(total):.2e}x the result; "
             "the moment expansion has lost its precision",
-            largest * quad.rel_tol,
+            largest * _REL_TOL,
         )
     if protocol is Protocol.BLOCK:
         total *= q
@@ -380,14 +359,15 @@ _META_TOL = 2e-3
 _WRAP_DECAY = 36.0
 
 
-def _jump_cdf(t, q, channel: ChannelParams, r0: float, L: float, protocol: Protocol):
-    """P(J <= t) for one interferer's jump J = -ln base(z), z with CDF z^2/L^2.
+def _jump_cdf(t, q, channel: ChannelParams, ppp: PppConfig, protocol: Protocol):
+    """P(J <= t) for one interferer's jump J = -ln base(z), z with CDF z^2/R^2.
 
     base(z) >= e^-t holds beyond z(t) = r0 (gamma x_t / (1 - x_t))^(1/alpha),
     with x_t = 1 - (1 - e^-t)/q_c (q_c = q for classical ALOHA, 1 for block);
     classical jumps end at -ln(1 - q), where x_t reaches 0.
     """
     q_c = q if protocol is Protocol.CLASSICAL else 1.0
+    r0, L = ppp.typical_distance_r0, ppp.window_radius_R
     one_minus_x = -np.expm1(-t) / q_c
     with np.errstate(divide="ignore"):
         ratio = channel.sinr_threshold_gamma * np.maximum(1.0 - one_minus_x, 0.0) / one_minus_x
@@ -408,67 +388,65 @@ def _next_5_smooth(n: int) -> int:
     return best
 
 
-def _log_success_law(s_max: float, cells: int, q: float, lam_eff: float,
-                     channel: ChannelParams, r0: float, quad: QuadratureSpec,
-                     protocol: Protocol):
+def _log_success_law(s_max: float, cells: int, q: float, ppp: PppConfig,
+                     channel: ChannelParams, protocol: Protocol):
     """Atoms of S = -ln(P/p0) at k s_max/cells, k = 0..cells.
 
-    S sums Poisson(lam_eff pi L^2) i.i.d. jumps. Each grid cell's jump mass
-    is split between its two ends so that the cell's mean is kept: equally
-    (second order in the step), except in the first cell, where the far
-    interferers' many tiny jumps get their exact mean from one quadrature.
+    S sums Poisson(lam_eff pi R^2) i.i.d. jumps (lam_eff = q lam under block
+    ALOHA, lam under classical). Each grid cell's jump mass is split between
+    its two ends so that the cell's mean is kept: equally (second order in
+    the step), except in the first cell, where the far interferers' many
+    tiny jumps get their exact mean from one quadrature.
     Jumps beyond the grid are dropped (any one puts S past s_max), so the
     law is defective. One rfft/irfft pair of the tilted jump law gives it.
     """
-    L = quad.outer_limit
+    r0, L = ppp.typical_distance_r0, ppp.window_radius_R
     dt = s_max / cells
-    cdf = _jump_cdf(dt * np.arange(cells + 2), q, channel, r0, L, protocol)
+    cdf = _jump_cdf(dt * np.arange(cells + 2), q, channel, ppp, protocol)
     mass = np.diff(cdf)
     jumps = 0.5 * (mass + np.concatenate(([0.0], mass[:-1])))
-    # E[J; J <= dt], with u = z^2/L^2 uniform on (0, 1]
+    # E[J; J <= dt], with u = z^2/R^2 uniform on (0, 1]
     head = _quad_checked(
         lambda u: -np.log1p(-_base_loss(L * np.sqrt(u), q, channel, r0, protocol)),
-        1.0 - cdf[1], 1.0, quad,
+        1.0 - cdf[1], 1.0,
     )
     jumps[0] = mass[0] - head / dt
     jumps[1] = head / dt + 0.5 * mass[1]
     n_fft = _next_5_smooth(4 * (cells + 1))
     tilt = np.exp(-_WRAP_DECAY / n_fft * np.arange(cells + 1))
+    lam_eff = ppp.intensity_lambda * (q if protocol is Protocol.BLOCK else 1.0)
     mu = lam_eff * math.pi * L * L
     law = fft.irfft(np.exp(mu * (fft.rfft(jumps * tilt, n_fft) - 1.0)), n_fft)
     return law[:cells + 1] / tilt
 
 
-def meta_distribution_rested(
-    query: MetaQuery, quad: QuadratureSpec, protocol: Protocol
-) -> float:
+def meta_distribution_rested(query: MetaQuery, ppp: PppConfig, protocol: Protocol) -> float:
     """Fraction of network realizations whose per-realization success tail
     reaches the reliability target beta.
 
     Evaluates P(P >= p*) = P(S <= s*), s* = ln(p0/p*), from the law of
-    S = -ln(P/p0) on grids of step dt and dt/2 over the window
-    `quad.outer_limit`; the gap between the two is the error estimate, and
-    `QuadratureError` is raised when it exceeds 2e-3. Returns 0 when no
-    threshold p* in [0, 1] can meet beta (block ALOHA with q < beta).
+    S = -ln(P/p0) on grids of step dt and dt/2 over the window of `ppp`; the
+    gap between the two is the error estimate, and `QuadratureError` is
+    raised when it exceeds 2e-3. Returns 0 when no threshold p* in [0, 1] can
+    meet beta (block ALOHA with q < beta).
     """
     protocol = Protocol(protocol)
     pstar = inverse_tail_threshold(query.T, query.v, query.q, query.beta, protocol)
     if pstar is None:
         return 0.0
-    lam_eff = query.intensity_lambda * (query.q if protocol is Protocol.BLOCK else 1.0)
+    lam_eff = ppp.intensity_lambda * (query.q if protocol is Protocol.BLOCK else 1.0)
     if pstar <= 1e-300:
         return 1.0
-    s_star = -query.channel.noise_exponent(query.r0) - math.log(pstar)
+    s_star = -query.channel.noise_exponent(ppp.typical_distance_r0) - math.log(pstar)
     if lam_eff == 0.0:  # deterministic success probability: point-mass CCDF
         return 1.0 if s_star >= 0.0 else 0.0
     if s_star <= 0.0:  # P >= p0 only without interferers
-        return math.exp(-lam_eff * math.pi * quad.outer_limit**2) if s_star == 0.0 else 0.0
+        return math.exp(-lam_eff * math.pi * ppp.window_radius_R**2) if s_star == 0.0 else 0.0
 
     cells = min(_META_MAX_CELLS, math.ceil(s_star / _META_STEP))
     values = []
     for n in (cells, 2 * cells):
-        law = _log_success_law(s_star, n, query.q, lam_eff, query.channel, query.r0,
-                               quad, protocol)
+        law = _log_success_law(s_star, n, query.q, ppp, query.channel, protocol)
         # half the end atom: the CDF at s* stays second order in the step
         values.append(float(law[:-1].sum() + 0.5 * law[-1]))
     coarse, fine = values

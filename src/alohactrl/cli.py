@@ -23,7 +23,6 @@ from .montecarlo import (
     estimate_block_controllability,
     estimate_meta_empirical,
     run_regret_study,
-    window_quadrature,
 )
 from .selftest import run_selftest
 
@@ -53,22 +52,18 @@ def _cmd_simulate(config, args) -> dict[str, str]:
 
 
 def _cmd_analytic(config, args) -> dict[str, str]:
-    quad = window_quadrature(config.ppp)
     lam = config.ppp.intensity_lambda
-    r0 = config.ppp.typical_distance_r0
     rows = []
     for protocol in config.protocols:
         for q in config.q_values:
             value = analytics.prob_block_controllable_restless(
-                config.T, config.v, q, lam, config.channel, quad, protocol, r0=r0
+                config.T, config.v, q, config.ppp, config.channel, protocol
             )
             rows.append([protocol.value, q, lam, config.T, config.v, None, value])
         for beta in config.beta_values:
             for q in config.q_values:
-                query = analytics.MetaQuery(
-                    config.v, beta, config.T, q, lam, config.channel, r0
-                )
-                value = analytics.meta_distribution_rested(query, quad, protocol)
+                query = analytics.MetaQuery(config.v, beta, config.T, q, config.channel)
+                value = analytics.meta_distribution_rested(query, config.ppp, protocol)
                 rows.append([protocol.value, q, lam, config.T, config.v, beta, value])
     return {"analytic.csv": _csv(
         ["protocol", "q", "lambda", "T", "v", "beta", "value"], rows
@@ -117,9 +112,6 @@ def _cmd_compare(config, args) -> dict[str, str]:
             rows,
         )
     if "rested" in config.systems and config.beta_values:
-        quad = window_quadrature(config.ppp)
-        lam = config.ppp.intensity_lambda
-        r0 = config.ppp.typical_distance_r0
         rows = []
         root = np.random.SeedSequence(config.seed)
         seeds = root.spawn(len(config.protocols) * len(config.beta_values) * len(config.q_values))
@@ -127,10 +119,8 @@ def _cmd_compare(config, args) -> dict[str, str]:
         for protocol in config.protocols:
             for beta in config.beta_values:
                 for q in config.q_values:
-                    query = analytics.MetaQuery(
-                        config.v, beta, config.T, q, lam, config.channel, r0
-                    )
-                    analytic = analytics.meta_distribution_rested(query, quad, protocol)
+                    query = analytics.MetaQuery(config.v, beta, config.T, q, config.channel)
+                    analytic = analytics.meta_distribution_rested(query, config.ppp, protocol)
                     empirical = estimate_meta_empirical(
                         config, protocol, q, beta, seed_seq=seeds[i]
                     )
@@ -155,6 +145,17 @@ def _cmd_regret(config, args) -> dict[str, str]:
         for k in range(len(study.mean_cumulative))
     ]
     return {"regret.csv": _csv(["k", "mean_regret", "envelope"], rows)}
+
+
+def _check_command(command: str, config) -> None:
+    """Reject a config the command would run only in part, or could not compare."""
+    if command in ("ts", "regret") and len(config.protocols) > 1:
+        raise ValueError(f"config key 'protocol': {command} runs block or classical, not both")
+    if command == "compare" and config.fixed_geometry:
+        raise ValueError("config key 'fixed_geometry': compare checks network averages, "
+                         "which need a new geometry per block")
+    if command == "compare" and config.systems == ("rested",) and not config.beta_values:
+        raise ValueError("config key 'beta_values': the rested comparison needs a target")
 
 
 _COMMANDS = {
@@ -201,6 +202,7 @@ def main(argv=None) -> int:
         overrides.append(f"seed = {args.seed}")
     try:
         config = load_config(args.config, overrides)
+        _check_command(args.command, config)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -247,7 +247,7 @@ def config_hash(config: ExperimentConfig) -> str:
 def emit_results(
     artifacts: dict[str, str],
     out_dir,
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig,
     force: bool = False,
     wall_time_s: float = 0.0,
 ) -> list[Path]:
@@ -255,8 +255,7 @@ def emit_results(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = dict(artifacts)
-    if config is not None:
-        artifacts.setdefault("resolved_config.conf", resolved_config_text(config))
+    artifacts.setdefault("resolved_config.conf", resolved_config_text(config))
     written = []
     for name, content in artifacts.items():
         target = out / name
@@ -265,8 +264,8 @@ def emit_results(
         target.write_text(content, encoding="utf-8")
         written.append(target)
     manifest = {
-        "config_hash": config_hash(config) if config is not None else None,
-        "seed": config.seed if config is not None else None,
+        "config_hash": config_hash(config),
+        "seed": config.seed,
         "toolkit_version": __version__,
         "wall_time_s": wall_time_s,
         "files": sorted(p.name for p in written),

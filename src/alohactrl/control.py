@@ -261,7 +261,8 @@ def run_block_restless(
 
     An idle slot and a failed one act alike (zero input, burst reset,
     estimate A x_hat), so given acknowledgments inside the typical pair's
-    access the trajectory depends on the acknowledgments only.
+    access the trajectory depends on the acknowledgments only. A block is
+    flagged controllable when its own burst counter completes.
     """
     hit, x, xh, states, estimates, inputs = _block_start(sys, acks, x0)
     n_blocks, T = hit.shape
@@ -292,7 +293,7 @@ def run_block_restless(
         estimates_xhat=estimates,
         inputs_applied=inputs,
         burst_L_final=L,
-        block_controllable=longest_runs(hit) >= sys.v,
+        block_controllable=L == sys.v,
     )
 
 
@@ -309,7 +310,8 @@ def run_block_rested(
     undelivered input until acknowledged and dummy data after v successes.
     The actuator applies delivered inputs and local feedback B^+(I - A) x on
     every other slot (failed, idle or dummy), which freezes the state, so the
-    controller's estimate stays put there.
+    controller's estimate stays put there. A block is flagged controllable
+    when its own delivery counter reaches v.
     """
     hit, x, xh, states, estimates, inputs = _block_start(sys, acks, x0)
     n_blocks, T = hit.shape
@@ -334,5 +336,5 @@ def run_block_rested(
         estimates_xhat=estimates,
         inputs_applied=inputs,
         burst_L_final=np.minimum(longest_runs(hit), sys.v),
-        block_controllable=np.count_nonzero(hit, axis=1) >= sys.v,
+        block_controllable=Lam == sys.v,
     )

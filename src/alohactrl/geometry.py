@@ -33,19 +33,23 @@ def default_window_radius(intensity_lambda: float, typical_distance_r0: float) -
 
 @dataclass(frozen=True)
 class PppConfig:
-    """Density (per m^2), window radius (m) and typical pair distance (m)."""
+    """Density (per m^2), window radius (m) and typical pair distance (m): the
+    finite system that the simulator samples and the analytics integrate over."""
 
     intensity_lambda: float
     window_radius_R: float
     typical_distance_r0: float
 
     def __post_init__(self):
-        if self.intensity_lambda < 0.0:
-            raise ValueError(f"intensity_lambda must be >= 0, got {self.intensity_lambda}")
-        if self.window_radius_R <= 0.0:
-            raise ValueError(f"window_radius_R must be > 0, got {self.window_radius_R}")
-        if self.typical_distance_r0 <= 0.0:
-            raise ValueError(f"typical_distance_r0 must be > 0, got {self.typical_distance_r0}")
+        if not 0.0 <= self.intensity_lambda < math.inf:
+            raise ValueError(f"intensity_lambda must be finite and >= 0, "
+                             f"got {self.intensity_lambda}")
+        if not 0.0 < self.window_radius_R < math.inf:
+            raise ValueError(f"window_radius_R must be finite and > 0, "
+                             f"got {self.window_radius_R}")
+        if not 0.0 < self.typical_distance_r0 < math.inf:
+            raise ValueError(f"typical_distance_r0 must be finite and > 0, "
+                             f"got {self.typical_distance_r0}")
         if self.typical_distance_r0 > self.window_radius_R:
             raise ValueError("typical_distance_r0 must not exceed window_radius_R")
 

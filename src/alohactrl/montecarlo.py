@@ -44,12 +44,10 @@ __all__ = [
     "RegretStudyResult",
     "simulate_ack_blocks",
     "estimate_block_controllability",
-    "analytic_controllability",
     "compare_analytic_empirical",
     "estimate_meta_empirical",
     "run_regret_study",
     "default_system_for",
-    "window_quadrature",
 ]
 
 CHUNK_BLOCKS = 4096
@@ -111,7 +109,6 @@ class SweepResult:
     q: float
     estimate: float
     half_width_95: float
-    n_samples: int
 
 
 @dataclass
@@ -123,20 +120,12 @@ class CompareRow:
     analytic: float
     abs_diff: float
     passes: bool
-    beta: Optional[float] = None
 
 
 @dataclass
 class RegretStudyResult:
     mean_cumulative: np.ndarray
     envelope: np.ndarray
-    num_runs: int
-
-
-def window_quadrature(ppp: PppConfig) -> analytics.QuadratureSpec:
-    """Quadrature windowed at the simulation radius, so analytics and
-    simulation describe the same finite system."""
-    return analytics.QuadratureSpec(outer_limit=ppp.window_radius_R)
 
 
 def _block_geometry(ppp: PppConfig, n_blocks: int, rng: np.random.Generator,
@@ -232,7 +221,7 @@ def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult
                 p_hat = float(np.mean(flags[system]))
                 results.append(SweepResult(
                     protocol, system, q, p_hat,
-                    1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n,
+                    1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n),
                 ))
             idx += 1
     return results
@@ -274,15 +263,6 @@ def _state_level_flags(config, protocol, q, seed_seq, realization=None):
     return out
 
 
-def analytic_controllability(config: ExperimentConfig, protocol: Protocol, q: float) -> float:
-    """Averaged restless block-controllability from the moment expansion,
-    windowed at the simulation radius."""
-    return analytics.prob_block_controllable_restless(
-        config.T, config.v, q, config.ppp.intensity_lambda, config.channel,
-        window_quadrature(config.ppp), protocol, r0=config.ppp.typical_distance_r0,
-    )
-
-
 def compare_analytic_empirical(config: ExperimentConfig) -> list[CompareRow]:
     """Empirical restless controllability vs the analytic value per (protocol, q);
     passes iff |diff| <= max(0.02, 3 * half-width)."""
@@ -291,7 +271,8 @@ def compare_analytic_empirical(config: ExperimentConfig) -> list[CompareRow]:
     )
     rows = []
     for res in sweep:
-        analytic = analytic_controllability(config, res.protocol, res.q)
+        analytic = analytics.prob_block_controllable_restless(
+            config.T, config.v, res.q, config.ppp, config.channel, res.protocol)
         diff = abs(res.estimate - analytic)
         rows.append(CompareRow(
             res.protocol, res.system, res.q, res.estimate, analytic, diff,
@@ -331,7 +312,7 @@ def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
 
     Realization i is sampled from child i of the seed; all of them then run
     as one lockstep `run_ts` call on a stream from one further child, so the
-    result does not depend on `threads`.
+    result does not depend on `threads`. Runs the first of `protocols`.
     """
     D = len(config.arms)
     K = config.K
@@ -342,4 +323,4 @@ def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
     trace, _ = run_ts(realizations, config.arms, config.protocols[0], config.channel,
                       config.T, K, rng, snapshot_every=0)
     envelope = np.array([regret_envelope_explicit(k, config.T, D) for k in range(1, K + 1)])
-    return RegretStudyResult(trace.cumulative.mean(axis=0), envelope, config.num_realizations)
+    return RegretStudyResult(trace.cumulative.mean(axis=0), envelope)

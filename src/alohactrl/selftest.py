@@ -234,12 +234,12 @@ def threshold_inversion():
 @check
 def meta_point_mass():
     params = channel.ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0)
-    quad = analytics.QuadratureSpec(outer_limit=500.0)
-    query = analytics.MetaQuery(4, 0.9, 20, 1.0, 0.0, params, 10.0)
+    empty = geometry.PppConfig(0.0, 500.0, 10.0)
+    query = analytics.MetaQuery(4, 0.9, 20, 1.0, params)
     # noiseless, no interferers: success probability is exactly 1
-    assert analytics.meta_distribution_rested(query, quad, Protocol.BLOCK) == 1.0
-    low_q = analytics.MetaQuery(4, 0.9, 20, 0.5, 0.0, params, 10.0)
-    assert analytics.meta_distribution_rested(low_q, quad, Protocol.BLOCK) == 0.0
+    assert analytics.meta_distribution_rested(query, empty, Protocol.BLOCK) == 1.0
+    low_q = analytics.MetaQuery(4, 0.9, 20, 0.5, params)
+    assert analytics.meta_distribution_rested(low_q, empty, Protocol.BLOCK) == 0.0
 
 
 @check

@@ -14,7 +14,6 @@ import pytest
 from alohactrl.aloha import Protocol
 from alohactrl.analytics import (
     MetaQuery,
-    QuadratureSpec,
     meta_distribution_rested,
     moment_zeta,
     prob_block_controllable_restless,
@@ -162,7 +161,7 @@ def test_c3_moment_oracle():
     worst = 0.0
     for lam in (1e-4, 5e-4):
         R = max(100.0, 5.0 / math.sqrt(lam))
-        quad = QuadratureSpec(outer_limit=R)
+        ppp = PppConfig(lam, R, r0)
         counts = g.poisson(lam * math.pi * R * R, n_real)
         tot = int(counts.sum())
         radii = R * np.sqrt(g.random(tot))
@@ -178,19 +177,19 @@ def test_c3_moment_oracle():
             ln_pcls = cs_cls[starts[1:]] - cs_cls[starts[:-1]]
             for l in range(1, 5):
                 mc_blk = float(np.mean(np.exp(l * ln_pblk)))
-                an_blk = moment_zeta(l, q, lam, params, quad, Protocol.BLOCK, r0=r0)
+                an_blk = moment_zeta(l, q, ppp, params, Protocol.BLOCK)
                 rel = abs(an_blk - mc_blk) / mc_blk
                 worst = max(worst, rel)
                 assert rel < 0.02, ("block", lam, q, l, mc_blk, an_blk)
                 mc_cls = float(q**l * np.mean(np.exp(l * ln_pcls)))
-                an_cls = moment_zeta(l, q, lam, params, quad, Protocol.CLASSICAL, r0=r0)
+                an_cls = moment_zeta(l, q, ppp, params, Protocol.CLASSICAL)
                 rel = abs(an_cls - mc_cls) / mc_cls
                 worst = max(worst, rel)
                 assert rel < 0.02, ("classical", lam, q, l, mc_cls, an_cls)
         # spot-check the vectorized MC against the per-realization formula
         check = rng(9)
         for _ in range(50):
-            real = sample_ppp(PppConfig(lam, R, r0), check)
+            real = sample_ppp(ppp, check)
             direct = kernel_classical(real, 0.7, params)
             ref = params.noise_success_factor(r0) * float(np.prod(
                 0.7 / (1.0 + (real.interferer_distances / r0) ** -4.0) + 0.3
@@ -212,7 +211,6 @@ def test_c4_restless_probability_end_to_end():
     lam, r0 = 1e-4, 10.0
     R = 500.0
     ppp = PppConfig(lam, R, r0)
-    quad = QuadratureSpec(outer_limit=R)
     T, v, n_blocks = 20, 4, 100_000
     qs = [round(0.1 * i, 10) for i in range(1, 11)]
     seeds = np.random.SeedSequence(404).spawn(2 * len(qs))
@@ -223,9 +221,7 @@ def test_c4_restless_probability_end_to_end():
             acks = simulate_ack_blocks(ppp, params, protocol, q, T, n_blocks, seeds[i])
             emp = float(np.mean(longest_runs(acks) >= v))
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / n_blocks)
-            analytic = prob_block_controllable_restless(
-                T, v, q, lam, params, quad, protocol, r0=r0
-            )
+            analytic = prob_block_controllable_restless(T, v, q, ppp, params, protocol)
             diff = abs(emp - analytic)
             worst = max(worst, diff)
             assert diff <= max(0.02, 2 * se), (protocol, q, emp, analytic)
@@ -246,7 +242,6 @@ def test_c5_meta_distribution():
     params = ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0)
     lam, r0, R = 1e-4, 10.0, 500.0
     ppp = PppConfig(lam, R, r0)
-    quad = QuadratureSpec(outer_limit=R)
     T, v, q = 20, 4, 0.7
     cfg = ExperimentConfig(ppp=ppp, channel=params, T=T, v=v,
                            num_realizations=10_000, seed=505)
@@ -256,9 +251,7 @@ def test_c5_meta_distribution():
     for protocol in (Protocol.BLOCK, Protocol.CLASSICAL):
         diffs = []
         for beta in (0.5, 0.7, 0.9):
-            analytic = meta_distribution_rested(
-                MetaQuery(v, beta, T, q, lam, params, r0), quad, protocol
-            )
+            analytic = meta_distribution_rested(MetaQuery(v, beta, T, q, params), ppp, protocol)
             empirical = estimate_meta_empirical(cfg, protocol, q, beta, seed_seq=seeds[i])
             diffs.append(abs(analytic - empirical))
             i += 1

@@ -13,7 +13,6 @@ from alohactrl.aloha import Protocol
 from alohactrl.analytics import (
     MetaQuery,
     QuadratureError,
-    QuadratureSpec,
     _base_loss,
     _jump_cdf,
     _log_success_law,
@@ -29,6 +28,7 @@ from alohactrl.analytics import (
 )
 from alohactrl.channel import ChannelParams, block_success_prob
 from alohactrl.config import load_config
+from alohactrl.geometry import PppConfig, sample_ppp
 from alohactrl.montecarlo import estimate_meta_empirical
 from alohactrl.selftest import _enumerate_run_tail as enumerate_run_tail
 
@@ -39,6 +39,10 @@ def rng(seed=0):
 
 def unit_params(alpha=4.0, gamma=1.0, N0=0.0):
     return ChannelParams(1.0, 1.0, alpha, N0, gamma)
+
+
+# a sparse network in a 500 m window, the meta tests' default
+SPARSE = PppConfig(1e-4, 500.0, 10.0)
 
 
 class TestRunCcdfDemoivre:
@@ -125,16 +129,14 @@ class TestBinomialTail:
 
 class TestInterferenceLogIntegral:
     def test_zero_intensity(self):
-        quad = QuadratureSpec(outer_limit=500.0)
         out = interference_log_integral(
-            3, 0.5, 0.0, unit_params(), quad, Protocol.BLOCK, r0=10.0
+            3, 0.5, PppConfig(0.0, 500.0, 10.0), unit_params(), Protocol.BLOCK
         )
         assert out == 0.0
 
     def test_order_zero(self):
-        quad = QuadratureSpec(outer_limit=500.0)
         out = interference_log_integral(
-            0, 0.5, 1e-4, unit_params(), quad, Protocol.BLOCK, r0=10.0
+            0, 0.5, PppConfig(1e-4, 500.0, 10.0), unit_params(), Protocol.BLOCK
         )
         assert out == 0.0
 
@@ -143,8 +145,7 @@ class TestInterferenceLogIntegral:
         # over PPP realizations in the disk of radius 500
         lam, r0, R, q = 1e-4, 10.0, 500.0, 1.0
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=R)
-        expnt = interference_log_integral(1, q, lam, params, quad, Protocol.BLOCK, r0=r0)
+        expnt = interference_log_integral(1, q, PppConfig(lam, R, r0), params, Protocol.BLOCK)
         g = rng(3)
         n = 100_000
         counts = g.poisson(lam * math.pi * R * R, n)
@@ -168,8 +169,8 @@ class TestInterferenceLogIntegral:
         params = ChannelParams(fig2.channel.tx_power_eta, fig2.channel.pathloss_const_rho,
                                alpha, fig2.channel.noise_power_N0,
                                fig2.channel.sinr_threshold_gamma)
-        quad = QuadratureSpec(outer_limit=L)
         lam, r0 = 5e-3, 10.0
+        ppp = PppConfig(lam, L, r0)
         for q in (0.3, 1.0):
             q_c = q if protocol is Protocol.CLASSICAL else 1.0
             lam_eff = q * lam if protocol is Protocol.BLOCK else lam
@@ -179,9 +180,9 @@ class TestInterferenceLogIntegral:
                     return -math.expm1(order * math.log1p(-c)) * z
 
                 want = -2.0 * math.pi * lam_eff * integrate.quad(
-                    f, 0.0, L, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                    limit=quad.max_subdivisions)[0]
-                got = interference_log_integral(order, q, lam, params, quad, protocol, r0=r0)
+                    f, 0.0, L, epsabs=analytics._ABS_TOL, epsrel=analytics._REL_TOL,
+                    limit=analytics._MAX_INTERVALS)[0]
+                got = interference_log_integral(order, q, ppp, params, protocol)
                 assert got == pytest.approx(want, rel=1e-9), (q, order)
 
     def test_windowed_converges_to_infinite_plane(self):
@@ -190,8 +191,7 @@ class TestInterferenceLogIntegral:
         params = unit_params(alpha=4.0, gamma=gamma)
         inf_val = -lam * math.pi * r0**2 * math.sqrt(gamma) * math.pi / 2.0
         win_val = interference_log_integral(
-            1, 1.0, lam, params, QuadratureSpec(outer_limit=5000.0),
-            Protocol.BLOCK, r0=r0,
+            1, 1.0, PppConfig(lam, 5000.0, r0), params, Protocol.BLOCK
         )
         assert inf_val == pytest.approx(win_val, rel=1e-3)
 
@@ -199,17 +199,17 @@ class TestInterferenceLogIntegral:
 class TestMomentZeta:
     def test_zero_intensity_noise_only(self):
         params = unit_params(N0=1e-3)
-        quad = QuadratureSpec(outer_limit=500.0)
+        ppp = PppConfig(0.0, 500.0, 10.0)
         for l in (1, 3):
             want = params.noise_success_factor(10.0, power=l)
-            got = moment_zeta(l, 0.5, 0.0, params, quad, Protocol.BLOCK, r0=10.0)
+            got = moment_zeta(l, 0.5, ppp, params, Protocol.BLOCK)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_moment_sequence_properties(self):
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=500.0)
+        ppp = PppConfig(5e-4, 500.0, 10.0)
         zs = [
-            moment_zeta(l, 0.7, 5e-4, params, quad, Protocol.BLOCK, r0=10.0)
+            moment_zeta(l, 0.7, ppp, params, Protocol.BLOCK)
             for l in range(1, 7)
         ]
         assert all(0.0 <= z <= 1.0 for z in zs)
@@ -224,11 +224,8 @@ class TestMomentZeta:
         lam, q, r0 = 5e-4, 0.7, 10.0
         R = math.sqrt(25.0 / lam)
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=R)
-        want = moment_zeta(1, q, lam, params, quad, Protocol.BLOCK, r0=r0)
-        from alohactrl.geometry import PppConfig, sample_ppp
-
         cfg = PppConfig(lam, R, r0)
+        want = moment_zeta(1, q, cfg, params, Protocol.BLOCK)
         g = rng(5)
         n = 30_000
         vals = np.empty(n)
@@ -241,43 +238,37 @@ class TestMomentZeta:
 
 class TestRestlessProbability:
     def test_q_zero(self):
-        quad = QuadratureSpec(outer_limit=500.0)
         assert prob_block_controllable_restless(
-            20, 4, 0.0, 1e-4, unit_params(), quad, Protocol.BLOCK, r0=10.0
+            20, 4, 0.0, PppConfig(1e-4, 500.0, 10.0), unit_params(), Protocol.BLOCK
         ) == 0.0
 
     def test_zero_intensity_reduces_to_demoivre(self):
         params = unit_params(N0=2e-3)
-        quad = QuadratureSpec(outer_limit=500.0)
+        empty = PppConfig(0.0, 500.0, 10.0)
         p0 = params.noise_success_factor(10.0)
         for q in (0.4, 1.0):
             want = q * run_ccdf_demoivre(20, 4, p0)
-            got = prob_block_controllable_restless(
-                20, 4, q, 0.0, params, quad, Protocol.BLOCK, r0=10.0
-            )
+            got = prob_block_controllable_restless(20, 4, q, empty, params, Protocol.BLOCK)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_zero_intensity_classical(self):
         params = unit_params(N0=2e-3)
-        quad = QuadratureSpec(outer_limit=500.0)
         q = 0.6
         p0 = params.noise_success_factor(10.0)
         want = run_ccdf_demoivre(20, 4, q * p0)
         got = prob_block_controllable_restless(
-            20, 4, q, 0.0, params, quad, Protocol.CLASSICAL, r0=10.0
+            20, 4, q, PppConfig(0.0, 500.0, 10.0), params, Protocol.CLASSICAL
         )
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_v_one_moment_expansion_identity(self):
         # at v=1 the block value equals q(1 - E[(1-P)^T]) expanded in moments
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=500.0)
-        T, q, lam = 6, 0.5, 2e-4
-        got = prob_block_controllable_restless(
-            T, 1, q, lam, params, quad, Protocol.BLOCK, r0=10.0
-        )
+        T, q = 6, 0.5
+        ppp = PppConfig(2e-4, 500.0, 10.0)
+        got = prob_block_controllable_restless(T, 1, q, ppp, params, Protocol.BLOCK)
         zs = {
-            l: moment_zeta(l, q, lam, params, quad, Protocol.BLOCK, r0=10.0)
+            l: moment_zeta(l, q, ppp, params, Protocol.BLOCK)
             for l in range(1, T + 1)
         }
         expansion = math.fsum(
@@ -287,22 +278,21 @@ class TestRestlessProbability:
 
     def test_bounded_by_q(self):
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=500.0)
+        ppp = PppConfig(5e-4, 500.0, 10.0)
         for q in (0.2, 0.7):
-            val = prob_block_controllable_restless(
-                20, 4, q, 5e-4, params, quad, Protocol.BLOCK, r0=10.0
-            )
+            val = prob_block_controllable_restless(20, 4, q, ppp, params, Protocol.BLOCK)
             assert 0.0 <= val <= q + 1e-12
 
 
 class TestNumericalFailureContract:
-    def test_quadrature_error_carries_estimate(self):
+    def test_quadrature_error_carries_estimate(self, monkeypatch):
         # starve the adaptive quadrature so it cannot meet the tolerance
-        quad = QuadratureSpec(outer_limit=5000.0, rel_tol=1e-13, abs_tol=1e-16,
-                              max_subdivisions=1)
+        monkeypatch.setattr(analytics, "_REL_TOL", 1e-13)
+        monkeypatch.setattr(analytics, "_ABS_TOL", 1e-16)
+        monkeypatch.setattr(analytics, "_MAX_INTERVALS", 1)
         with pytest.raises(QuadratureError, match="did not converge") as info:
             interference_log_integral(
-                1, 1.0, 1e-4, unit_params(), quad, Protocol.BLOCK, r0=10.0,
+                1, 1.0, PppConfig(1e-4, 5000.0, 10.0), unit_params(), Protocol.BLOCK
             )
         assert math.isfinite(info.value.error_estimate)
         assert info.value.error_estimate > 0.0
@@ -311,10 +301,9 @@ class TestNumericalFailureContract:
         # long blocks with v=1 produce huge alternating binomial terms; the
         # precision-loss monitor must fail rather than return a clamped value
         params = unit_params(N0=0.0)
-        quad = QuadratureSpec(outer_limit=500.0)
         with pytest.raises(QuadratureError, match="cancellation") as info:
             prob_block_controllable_restless(
-                64, 1, 0.9, 5e-4, params, quad, Protocol.BLOCK, r0=10.0
+                64, 1, 0.9, PppConfig(5e-4, 500.0, 10.0), params, Protocol.BLOCK
             )
         assert info.value.error_estimate > 0.0
 
@@ -348,35 +337,31 @@ def test_fft_length_is_scipys_next_fast_len():
 class TestMetaDistribution:
     def test_point_mass_cases(self):
         params = unit_params(N0=0.0)
-        quad = QuadratureSpec(outer_limit=500.0)
-        q1 = MetaQuery(4, 0.9, 20, 1.0, 0.0, params, 10.0)
-        assert meta_distribution_rested(q1, quad, Protocol.BLOCK) == 1.0
-        q2 = MetaQuery(4, 0.95, 20, 0.9, 0.0, params, 10.0)
-        assert meta_distribution_rested(q2, quad, Protocol.BLOCK) == 0.0
+        empty = PppConfig(0.0, 500.0, 10.0)
+        q1 = MetaQuery(4, 0.9, 20, 1.0, params)
+        assert meta_distribution_rested(q1, empty, Protocol.BLOCK) == 1.0
+        q2 = MetaQuery(4, 0.95, 20, 0.9, params)
+        assert meta_distribution_rested(q2, empty, Protocol.BLOCK) == 0.0
 
     def test_block_q_below_beta_zero(self):
-        params = unit_params()
-        quad = QuadratureSpec(outer_limit=500.0)
-        query = MetaQuery(4, 0.9, 20, 0.5, 1e-4, params, 10.0)
-        assert meta_distribution_rested(query, quad, Protocol.BLOCK) == 0.0
+        query = MetaQuery(4, 0.9, 20, 0.5, unit_params())
+        assert meta_distribution_rested(query, SPARSE, Protocol.BLOCK) == 0.0
 
     def test_monotone_in_beta_and_range(self):
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=500.0)
         vals = []
         for beta in (0.5, 0.7, 0.9):
-            query = MetaQuery(4, beta, 20, 0.7, 1e-4, params, 10.0)
-            m = meta_distribution_rested(query, quad, Protocol.CLASSICAL)
+            query = MetaQuery(4, beta, 20, 0.7, params)
+            m = meta_distribution_rested(query, SPARSE, Protocol.CLASSICAL)
             assert 0.0 <= m <= 1.0
             vals.append(m)
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_monotone_in_v(self):
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=500.0)
         ms = [
             meta_distribution_rested(
-                MetaQuery(v, 0.7, 20, 0.7, 1e-4, params, 10.0), quad, Protocol.CLASSICAL
+                MetaQuery(v, 0.7, 20, 0.7, params), SPARSE, Protocol.CLASSICAL
             )
             for v in (4, 6, 8)
         ]
@@ -384,16 +369,13 @@ class TestMetaDistribution:
 
     def test_empirical_ccdf_oracle_classical(self):
         # fraction of realizations with P_cls >= p* over sampled geometries
-        from alohactrl.geometry import PppConfig, sample_ppp
-
         lam, q, beta, r0, R = 1e-4, 0.7, 0.7, 10.0, 500.0
         params = unit_params()
-        quad = QuadratureSpec(outer_limit=R)
-        query = MetaQuery(4, beta, 20, q, lam, params, r0)
-        analytic = meta_distribution_rested(query, quad, Protocol.CLASSICAL)
+        cfg = PppConfig(lam, R, r0)
+        query = MetaQuery(4, beta, 20, q, params)
+        analytic = meta_distribution_rested(query, cfg, Protocol.CLASSICAL)
         pstar = inverse_tail_threshold(20, 4, q, beta, Protocol.CLASSICAL)
         g = rng(11)
-        cfg = PppConfig(lam, R, r0)
         n = 20_000
         hits = 0
         for _ in range(n):
@@ -406,16 +388,13 @@ class TestMetaDistribution:
     def test_block_protocol_alpha_two_windowed(self):
         # vanishing-base grid at the slowest-decay exponent still inverts
         # and agrees with the empirical tail fraction
-        from alohactrl.geometry import PppConfig, sample_ppp
-
         lam, q, beta, r0, R = 5e-4, 0.8, 0.6, 10.0, 224.0
         params = unit_params(alpha=2.0)
-        quad = QuadratureSpec(outer_limit=R)
-        query = MetaQuery(4, beta, 20, q, lam, params, r0)
-        analytic = meta_distribution_rested(query, quad, Protocol.BLOCK)
+        cfg = PppConfig(lam, R, r0)
+        query = MetaQuery(4, beta, 20, q, params)
+        analytic = meta_distribution_rested(query, cfg, Protocol.BLOCK)
         pstar = inverse_tail_threshold(20, 4, q, beta, Protocol.BLOCK)
         g = rng(13)
-        cfg = PppConfig(lam, R, r0)
         n = 8000
         hits = 0
         for _ in range(n):
@@ -424,20 +403,10 @@ class TestMetaDistribution:
                                        r0, params, Protocol.BLOCK, q, g)[0] >= pstar
         assert abs(analytic - hits / n) < 0.02
 
-    def test_infinite_window_rejected_before_grid(self):
-        # every integral runs over the simulator's finite disk window, so an
-        # infinite one is refused where the window is given
-        for limit in (math.inf, math.nan, 0.0):
-            with pytest.raises(ValueError, match="finite"):
-                QuadratureSpec(outer_limit=limit)
-
 
 def fig4_point(q, beta=0.9):
     config = load_config("fig4")
-    ppp = config.ppp
-    query = MetaQuery(config.v, beta, config.T, q, ppp.intensity_lambda, config.channel,
-                      ppp.typical_distance_r0)
-    return query, QuadratureSpec(outer_limit=ppp.window_radius_R)
+    return MetaQuery(config.v, beta, config.T, q, config.channel), config.ppp
 
 
 class TestLawOfP:
@@ -450,21 +419,18 @@ class TestLawOfP:
         # law's mass beyond 20 weighs at most e^-20. At alpha = 4 most jumps
         # lie below one step, so the first cell's mean split matters.
         if point.startswith("fig4"):
-            query, quad = fig4_point(float(point[-3:]))
+            query, ppp = fig4_point(float(point[-3:]))
         else:
-            query = MetaQuery(4, 0.7, 20, 0.7, 1e-4, unit_params(), 10.0)
-            quad = QuadratureSpec(outer_limit=500.0)
-        q, lam = query.q, query.intensity_lambda
-        lam_eff = q * lam if protocol is Protocol.BLOCK else lam
+            query, ppp = MetaQuery(4, 0.7, 20, 0.7, unit_params()), SPARSE
+        q = query.q
         s_max, cells = 20.0, 200_000
-        law = _log_success_law(s_max, cells, q, lam_eff, query.channel, query.r0,
-                               quad, protocol)
+        law = _log_success_law(s_max, cells, q, ppp, query.channel, protocol)
         s = s_max / cells * np.arange(cells + 1)
-        p0 = query.channel.noise_success_factor(query.r0)
+        p0 = query.channel.noise_success_factor(ppp.typical_distance_r0)
         access = q if protocol is Protocol.CLASSICAL else 1.0
         for l in (1, 2, 4):
             got = (access * p0) ** l * float(law @ np.exp(-l * s))
-            want = moment_zeta(l, q, lam, query.channel, quad, protocol, r0=query.r0)
+            want = moment_zeta(l, q, ppp, query.channel, protocol)
             assert abs(got - want) < 1e-3, (l, got, want)
 
     @pytest.mark.parametrize("point", ["fig4 q=0.7", "fig4 q=0.95", "alpha=4 q=0.7"])
@@ -473,11 +439,11 @@ class TestLawOfP:
         # E[J; J <= dt] of the law of P: Int_{u0}^1 -ln base(L sqrt u) du with
         # u0 = 1 - P(J <= dt), against scipy.integrate.quad at the same tolerances
         if point.startswith("fig4"):
-            query, quad = fig4_point(float(point[-3:]))
+            query, ppp = fig4_point(float(point[-3:]))
         else:
-            query = MetaQuery(4, 0.7, 20, 0.7, 1e-4, unit_params(), 10.0)
-            quad = QuadratureSpec(outer_limit=500.0)
-        q, r0, L, params = query.q, query.r0, quad.outer_limit, query.channel
+            query, ppp = MetaQuery(4, 0.7, 20, 0.7, unit_params()), SPARSE
+        q, params = query.q, query.channel
+        r0, L = ppp.typical_distance_r0, ppp.window_radius_R
         q_c = q if protocol is Protocol.CLASSICAL else 1.0
         alpha, gamma = params.pathloss_exp_alpha, params.sinr_threshold_gamma
 
@@ -485,19 +451,19 @@ class TestLawOfP:
             return -math.log1p(-q_c / (1.0 + (L * math.sqrt(u) / r0) ** alpha / gamma))
 
         for dt in (1e-4, 5e-5, 1e-2):
-            u0 = 1.0 - float(_jump_cdf(dt, q, params, r0, L, protocol))
-            want = integrate.quad(head, u0, 1.0, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                                  limit=quad.max_subdivisions)[0]
+            u0 = 1.0 - float(_jump_cdf(dt, q, params, ppp, protocol))
+            want = integrate.quad(head, u0, 1.0, epsabs=analytics._ABS_TOL,
+                                  epsrel=analytics._REL_TOL, limit=analytics._MAX_INTERVALS)[0]
             got = _quad_checked(
                 lambda u: -np.log1p(-_base_loss(L * np.sqrt(u), q, params, r0, protocol)),
-                u0, 1.0, quad)
+                u0, 1.0)
             assert got == pytest.approx(want, rel=1e-9), dt
 
     def test_classical_q_one_equals_block(self):
         for beta in (0.5, 0.9):
-            query, quad = fig4_point(1.0, beta)
-            block = meta_distribution_rested(query, quad, Protocol.BLOCK)
-            classical = meta_distribution_rested(query, quad, Protocol.CLASSICAL)
+            query, ppp = fig4_point(1.0, beta)
+            block = meta_distribution_rested(query, ppp, Protocol.BLOCK)
+            classical = meta_distribution_rested(query, ppp, Protocol.CLASSICAL)
             assert 0.5 < block < 1.0
             assert classical == pytest.approx(block, abs=1e-12)
 
@@ -509,8 +475,8 @@ class TestLawOfP:
     ])
     def test_fig4_values_match_characteristic_function_inversion(self, protocol, q, previous):
         # the values the Gil-Pelaez inversion gave at the fig4 compare points
-        query, quad = fig4_point(q)
-        assert abs(meta_distribution_rested(query, quad, protocol) - previous) < 2e-3
+        query, ppp = fig4_point(q)
+        assert abs(meta_distribution_rested(query, ppp, protocol) - previous) < 2e-3
 
     def test_dense_block_point_conditional_monte_carlo(self):
         # about 157 interferers per realization put most of S past s* and
@@ -518,9 +484,8 @@ class TestLawOfP:
         # Oracle: the fraction of sampled windows whose conditional success
         # probability prod 1/(1 + (r0/z)^2) reaches p*
         lam, r0, L, beta = 5e-3, 10.0, 100.0, 0.05
-        query = MetaQuery(2, beta, 20, 1.0, lam, unit_params(alpha=2.0), r0)
-        analytic = meta_distribution_rested(query, QuadratureSpec(outer_limit=L),
-                                            Protocol.BLOCK)
+        query = MetaQuery(2, beta, 20, 1.0, unit_params(alpha=2.0))
+        analytic = meta_distribution_rested(query, PppConfig(lam, L, r0), Protocol.BLOCK)
         pstar = inverse_tail_threshold(20, 2, 1.0, beta, Protocol.BLOCK)
         g = rng(17)
         n, hits = 200_000, 0
@@ -540,27 +505,26 @@ class TestLawOfP:
         # realization has P <= p0 < 1, so both the analytic and the empirical
         # fraction are 0 (a float tail already rounds to 1 near p = 0.93)
         assert inverse_tail_threshold(20, 4, 0.9, 0.9, Protocol.BLOCK) == 1.0
-        query, quad = fig4_point(0.9)
-        assert meta_distribution_rested(query, quad, Protocol.BLOCK) == 0.0
+        query, ppp = fig4_point(0.9)
+        assert meta_distribution_rested(query, ppp, Protocol.BLOCK) == 0.0
         config = load_config("fig4", ["num_realizations = 2000"])
         assert estimate_meta_empirical(config, Protocol.BLOCK, 0.9, 0.9) == 0.0
 
     def test_starved_tolerance_raises_with_estimate(self, monkeypatch):
-        query, quad = fig4_point(0.95)
+        query, ppp = fig4_point(0.95)
         monkeypatch.setattr(analytics, "_META_TOL", 1e-12)
         with pytest.raises(QuadratureError) as info:
-            meta_distribution_rested(query, quad, Protocol.BLOCK)
+            meta_distribution_rested(query, ppp, Protocol.BLOCK)
         assert 0.0 < info.value.error_estimate < 2e-3
 
     def test_memory_bounded_at_tiny_threshold(self):
         # v = 1 and beta = 1e-12 give p* ~ 1e-12, so s* ~ 28 would need 2.8e5
         # cells at the default step; the capped grid keeps the point in MB
-        query = MetaQuery(1, 1e-12, 20, 0.7, 1e-4, unit_params(), 10.0)
-        quad = QuadratureSpec(outer_limit=500.0)
+        query = MetaQuery(1, 1e-12, 20, 0.7, unit_params())
         assert inverse_tail_threshold(20, 1, 0.7, 1e-12, Protocol.CLASSICAL) < 1e-11
         tracemalloc.start()
         try:
-            value = meta_distribution_rested(query, quad, Protocol.CLASSICAL)
+            value = meta_distribution_rested(query, SPARSE, Protocol.CLASSICAL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -137,6 +137,26 @@ def test_rejected_value_names_its_key(key, settings, tmp_path, capsys):
     assert not tmp_path.joinpath("sweep.csv").exists()
 
 
+# (command, preset, override, the config key the error must name)
+UNRUNNABLE = [
+    ("ts", "fig3", "protocol=both", "protocol"),
+    ("regret", "fig5", "protocol=both", "protocol"),
+    ("compare", "fig2", "fixed_geometry=true", "fixed_geometry"),
+    ("compare", "fig2", "system=rested", "beta_values"),
+]
+
+
+@pytest.mark.parametrize("command,preset,override,key", UNRUNNABLE,
+                         ids=[f"{c}-{o}" for c, _, o, _ in UNRUNNABLE])
+def test_command_rejects_what_it_cannot_run(command, preset, override, key, tmp_path, capsys):
+    # a command that would drop a protocol or compare unlike quantities
+    # stops before it writes anything
+    out = tmp_path / "out"
+    assert main([command, "--config", preset, "--out", str(out), "--set", override]) == 2
+    assert re.match(re.escape(f"error: config key {key!r}: "), capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_readme_table_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration format", 1)[1].split("\n## ", 1)[0]

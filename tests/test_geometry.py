@@ -21,6 +21,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PppConfig(-1.0, 100.0, 10.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("window_radius_R", math.inf), ("window_radius_R", math.nan), ("window_radius_R", 0.0),
+        ("intensity_lambda", math.nan), ("intensity_lambda", math.inf),
+    ])
+    def test_finite_system_required(self, field, value):
+        # the analytics integrate over the window the simulator samples, so
+        # every value it holds must be finite
+        settings = {"intensity_lambda": 5e-3, "window_radius_R": 100.0,
+                    "typical_distance_r0": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PppConfig(**settings)
+
     def test_rejects_pair_outside_window(self):
         with pytest.raises(ValueError):
             PppConfig(1e-3, 5.0, 10.0)

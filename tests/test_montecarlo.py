@@ -111,7 +111,7 @@ class TestSimulateAckBlocks:
 
     def test_success_rate_matches_conditional_marginal(self):
         # per-slot marginal success probability is q * E[P_cls]
-        from alohactrl.analytics import QuadratureSpec, moment_zeta
+        from alohactrl.analytics import moment_zeta
 
         ppp = PppConfig(5e-4, 150.0, 10.0)
         params = unit_params(alpha=2.0)
@@ -120,9 +120,7 @@ class TestSimulateAckBlocks:
             ppp, params, Protocol.CLASSICAL, q, 10, 40_000, np.random.SeedSequence(9)
         )
         emp = float(acks.mean())
-        quad = QuadratureSpec(outer_limit=ppp.window_radius_R)
-        want = moment_zeta(1, q, ppp.intensity_lambda, params, quad,
-                           Protocol.CLASSICAL, r0=ppp.typical_distance_r0)
+        want = moment_zeta(1, q, ppp, params, Protocol.CLASSICAL)
         n = acks.size
         assert abs(emp - want) < 3 * math.sqrt(want * (1 - want) / n)
 
