@@ -4,12 +4,16 @@ Walks through the basic objects: a disk-window Poisson realization around the
 typical pair and the closed-form success probabilities given the geometry,
 read off the success kernel `block_success_prob` (all interferers active vs
 per-slot Bernoulli thinning); the first is cross-checked against a quick
-Monte Carlo over Rayleigh-faded slots.
+Monte Carlo over Rayleigh-faded slots. The kernel takes the interferers'
+suppression factors, computed once for the realization.
 """
 
 import numpy as np
 
-from alohactrl import ChannelParams, PppConfig, Protocol, block_success_prob, sample_ppp
+from alohactrl import (
+    ChannelParams, PppConfig, Protocol, block_owner, block_success_prob, sample_ppp,
+    suppression_factors,
+)
 
 rng = np.random.default_rng(1)
 
@@ -26,11 +30,16 @@ print(f"nearest interferer: {real.interferer_distances.min():.1f} m, "
       f"typical link: {real.typical_distance_r0:.0f} m")
 
 
+# the realization's one block: its factors, their layout and the noise factor
+factors = suppression_factors(real.interferer_distances, real.typical_distance_r0, channel)
+owner = block_owner([real.num_interferers])
+noise = channel.noise_success_factor(real.typical_distance_r0)
+
+
 def p_success(q):
     """Per-slot success probability given the geometry, each interferer
     transmitting with probability q per slot; classical ALOHA draws nothing."""
-    return block_success_prob(real.interferer_distances, [real.num_interferers],
-                              real.typical_distance_r0, channel, Protocol.CLASSICAL, q, rng)[0]
+    return block_success_prob(factors, owner, 1, noise, Protocol.CLASSICAL, q, rng)[0]
 
 
 # success probability with every interferer transmitting, fading averaged out

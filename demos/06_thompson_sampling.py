@@ -10,7 +10,10 @@ sqrt(64 K D log K) + 4 T D envelope.
 
 import numpy as np
 
-from alohactrl import block_success_prob, regret_envelope_explicit, run_ts, sample_ppp
+from alohactrl import (
+    block_owner, block_success_prob, regret_envelope_explicit, run_ts, sample_ppp,
+    suppression_factors,
+)
 from alohactrl.aloha import Protocol
 from alohactrl.config import load_config
 
@@ -25,10 +28,13 @@ trace, history = run_ts(
     config.T, config.K, rng,
 )
 
-# expected block reward T q P_cls(q) of each arm; the classical kernel draws nothing
-mu = [config.T * a * block_success_prob(
-          realization.interferer_distances, [realization.num_interferers],
-          realization.typical_distance_r0, config.channel, Protocol.CLASSICAL, a, rng)[0]
+# expected block reward T q P_cls(q) of each arm, from the realization's
+# suppression factors (computed once); the classical kernel draws nothing
+r0 = realization.typical_distance_r0
+factors = suppression_factors(realization.interferer_distances, r0, config.channel)
+owner = block_owner([realization.num_interferers])
+noise = config.channel.noise_success_factor(r0)
+mu = [config.T * a * block_success_prob(factors, owner, 1, noise, Protocol.CLASSICAL, a, rng)[0]
       for a in config.arms]
 print("\narm   q    E[block reward]   pulls")
 for d, a in enumerate(config.arms):

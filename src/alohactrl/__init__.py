@@ -13,7 +13,6 @@ from .analytics import (
     MetaQuery,
     QuadratureError,
     binomial_tail,
-    interference_log_integral,
     inverse_tail_threshold,
     meta_distribution_rested,
     moment_zeta,
@@ -28,20 +27,15 @@ from .bandit import (
 )
 from .channel import (
     ChannelParams,
+    block_owner,
     block_success_prob,
     default_channel,
+    suppression_factors,
 )
 from .control import (
     BlockTrace,
     LtiSystem,
-    design_inputs,
-    feedback_input,
-    holding_input,
-    is_block_controllable_rested,
-    is_block_controllable_restless,
     longest_runs,
-    minimal_poly_degree,
-    propagate,
     run_block_rested,
     run_block_restless,
 )

@@ -24,6 +24,7 @@ al., Springer 1983) over a vectorized integrand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,6 +312,7 @@ def binomial_tail(T: int, v: int, p: float) -> float:
     return float(mass[v:].sum() / mass.sum())
 
 
+@functools.lru_cache(maxsize=1024)
 def inverse_tail_threshold(
     T: int, v: int, q: float, beta: float, protocol: Protocol
 ) -> Optional[float]:
@@ -319,6 +321,8 @@ def inverse_tail_threshold(
     Block weights the tail by q; classical evaluates the tail at success
     probability q*p. Returns None when even p = 1 cannot reach beta, and 1
     under block ALOHA with beta = q, where only p = 1 gives a tail of 1.
+    The bisection is cached, so the analytic and the empirical side of a
+    meta point share one.
     """
     protocol = Protocol(protocol)
     if not 0.0 < q <= 1.0:

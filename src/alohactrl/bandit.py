@@ -17,9 +17,11 @@ arms by fancy indexing. A single run is the case R = 1.
 A block's acknowledgment count is drawn as one Binomial(T, p): given the
 realization the slot successes are i.i.d. Bernoulli(p), with p = q P_cls(q)
 under classical ALOHA and, under block ALOHA, p = P_blk of the block's drawn
-active set when the typical pair transmits (0 when it is idle). Under block
-ALOHA one `block_success_prob` call per step covers the interferers of all R
-realizations, each block with its own pulled arm as q.
+active set when the typical pair transmits (0 when it is idle). The
+geometry is fixed, so the interferers' suppression factors, their block
+layout and the noise factor are computed once, before the loop; under block
+ALOHA one `block_success_prob` call per step on them covers the interferers
+of all R realizations, each block with its own pulled arm as q.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aloha import Protocol
-from .channel import ChannelParams, block_success_prob
+from .channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 
 __all__ = [
     "RegretTrace",
@@ -61,14 +63,15 @@ def _sample_beta(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.n
     Gamma draws."""
     ga = rng.standard_gamma(a)
     total = ga + rng.standard_gamma(b)
-    # 0.5 guards the measure-zero underflow of both Gammas
-    return np.divide(ga, total, out=np.full_like(total, 0.5), where=total > 0.0)
+    # divides into G_a in place; where both Gammas underflow (measure zero),
+    # the draw is G_a = 0
+    return np.divide(ga, total, out=ga, where=total > 0.0)
 
 
 def select_arm(a, b, rng: np.random.Generator) -> np.ndarray:
     """Sample every posterior Beta(a, b) and return the argmax along the last
     (arm) axis, the lowest index on ties: one arm per row of (R, D) arrays."""
-    return np.argmax(_sample_beta(a, b, rng), axis=-1)
+    return _sample_beta(a, b, rng).argmax(axis=-1)
 
 
 def _batch_update(a: np.ndarray, b: np.ndarray, arm, successes, T: int) -> None:
@@ -112,10 +115,12 @@ def run_ts(
     if not (arms.size and np.all((arms >= 0.0) & (arms <= 1.0))):
         raise ValueError("arms must be a nonempty list of probabilities in [0, 1]")
     R, D = len(realizations), arms.size
-    distances = np.concatenate([r.interferer_distances for r in realizations])
-    counts = np.array([r.num_interferers for r in realizations])
+    factors = suppression_factors(
+        np.concatenate([r.interferer_distances for r in realizations]), r0, channel)
+    owner = block_owner([r.num_interferers for r in realizations])
+    noise = channel.noise_success_factor(r0)
     # expected block reward T q P_cls(q); the classical kernel draws nothing
-    mu = np.stack([T * q * block_success_prob(distances, counts, r0, channel,
+    mu = np.stack([T * q * block_success_prob(factors, owner, R, noise,
                                               Protocol.CLASSICAL, q, rng)
                    for q in arms], axis=1)
     rows = np.arange(R)
@@ -133,7 +138,7 @@ def run_ts(
         else:
             q = arms[d]
             access = rng.random(R) < q
-            p = access * block_success_prob(distances, counts, r0, channel, protocol, q, rng)
+            p = access * block_success_prob(factors, owner, R, noise, protocol, q, rng)
         succ = rng.binomial(T, p)
         _batch_update(a, b, d, succ, T)
         chosen[k] = d

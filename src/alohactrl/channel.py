@@ -5,7 +5,9 @@ Fading is averaged out in closed form, so no fading power is ever drawn:
 given the geometry and the active set, the slot successes are i.i.d.
 Bernoulli of that probability, and `block_success_prob` is the one kernel
 every success probability comes from: the simulated acknowledgments and the
-Thompson-sampling reward table alike.
+Thompson-sampling reward table alike. It takes the interferers'
+`suppression_factors`, which depend on the geometry only, so a caller
+computes them once per geometry.
 
 Powers are stored in linear watts; helpers convert from dBm / carrier
 frequency, matching the configuration surface.
@@ -28,6 +30,7 @@ __all__ = [
     "freespace_pathloss_const",
     "default_channel",
     "suppression_factors",
+    "block_owner",
     "block_success_prob",
 ]
 
@@ -119,34 +122,37 @@ def suppression_factors(distances, r0: float, params: ChannelParams) -> np.ndarr
         return 1.0 / (1.0 + params.sinr_threshold_gamma * ratio ** (-params.pathloss_exp_alpha))
 
 
+def block_owner(counts) -> np.ndarray:
+    """Block index of every interferer, for interferers concatenated block by
+    block with `counts[b]` in block b: the layout `block_success_prob` takes."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
 def block_success_prob(
-    distances, counts, r0: float, params: ChannelParams, protocol: Protocol,
-    q, rng: np.random.Generator,
+    factors: np.ndarray, owner: np.ndarray, n_blocks: int, noise: float,
+    protocol: Protocol, q, rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-slot success probability of the typical link in each of many
+    """Per-slot success probability of the typical link in each of n_blocks
     blocks, given that the typical pair transmits.
 
-    `distances` holds the interferers of every block, concatenated block by
-    block, and `counts[b]` is block b's share. `q` is one access probability
-    for every block, or one per block (aligned with `counts`). Block ALOHA
-    draws each interferer's activity for the whole block and returns P_blk
-    of the drawn active set; classical ALOHA returns P_cls(q), which averages
-    the per-slot activity. Given the geometry (and the active set), a block's
-    slot successes are i.i.d. Bernoulli of this value.
+    `factors` holds the `suppression_factors` of every block's interferers,
+    concatenated block by block, `owner` their blocks (`block_owner`), and
+    `noise` is `ChannelParams.noise_success_factor(r0)`: a caller computes
+    them once per geometry. `q` is one access probability for every block,
+    or one per block. Block ALOHA draws each interferer's activity for the
+    whole block (one uniform per factor, in order) and returns P_blk of the
+    drawn active set; classical ALOHA returns P_cls(q), which averages the
+    per-slot activity and draws nothing. Given the geometry (and the active
+    set), a block's slot successes are i.i.d. Bernoulli of this value.
     """
-    counts = np.asarray(counts, dtype=np.int64)
     if np.ndim(q):
-        q = np.asarray(q, dtype=float)
-        if q.shape != counts.shape:
-            raise ValueError("per-block q must align with counts")
-        q = np.repeat(q, counts)
-    x = suppression_factors(distances, r0, params)
+        if np.shape(q) != (n_blocks,):
+            raise ValueError("per-block q must have one value per block")
+        q = np.asarray(q, dtype=float)[owner]
     if Protocol(protocol) is Protocol.BLOCK:
-        x = np.where(rng.random(x.size) < q, x, 1.0)
+        factors = np.where(rng.random(factors.size) < q, factors, 1.0)
     else:
-        x = q * x + 1.0 - q
-    owner = np.repeat(np.arange(counts.size), counts)
+        factors = q * factors + 1.0 - q
     with np.errstate(divide="ignore"):
-        log_prod = np.bincount(owner, weights=np.log(x), minlength=counts.size)
-    return params.noise_success_factor(r0) * np.exp(log_prod)
-
+        log_prod = np.bincount(owner, weights=np.log(factors), minlength=n_blocks)
+    return noise * np.exp(log_prod)

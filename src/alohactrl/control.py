@@ -22,7 +22,7 @@ batch (B, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "longest_runs",
     "run_block_restless",
     "run_block_rested",
-    "is_block_controllable_restless",
-    "is_block_controllable_rested",
 ]
 
 PINV_RCOND = 1e-10
@@ -201,20 +199,6 @@ def longest_runs(acks) -> np.ndarray:
     best = np.zeros(rows, dtype=np.int64)
     np.maximum.at(best, starts // width, ends - starts)
     return best
-
-
-def is_block_controllable_restless(acks: Sequence[int], v: int) -> bool:
-    """True iff the acknowledgment sequence contains >= v consecutive ones."""
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    return bool(longest_runs(acks)[0] >= v)
-
-
-def is_block_controllable_rested(acks: Sequence[int], v: int) -> bool:
-    """True iff the acknowledgment sequence contains >= v ones in total."""
-    if v < 1:
-        raise ValueError("v must be >= 1")
-    return np.count_nonzero(acks) >= v
 
 
 @dataclass

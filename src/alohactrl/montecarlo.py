@@ -1,11 +1,13 @@
 """Experiment orchestration: controllability sweeps, analytic-vs-empirical
 comparison and regret studies.
 
-Simulation is acknowledgment-level by default. Per block the geometry is
-drawn and `channel.block_success_prob` gives the typical link's per-slot
-success probability p (drawing the interferers' block activity under block
-ALOHA); given those draws the slot successes are i.i.d. Bernoulli(p), gated by
-the typical pair's own access draws, so no fading is simulated. The plant
+Simulation is acknowledgment-level by default. Per chunk of blocks the
+geometries are drawn and their interferers' `channel.suppression_factors`
+computed once (a fixed geometry's once per run, then repeated);
+`channel.block_success_prob` gives each block's per-slot success probability
+p (drawing the interferers' block activity under block ALOHA). Given those
+draws the slot successes are i.i.d. Bernoulli(p), gated by the typical
+pair's own access draws, so no fading is simulated. The plant
 state recursion cannot influence the successes, so restless (consecutive)
 and rested (total) controllability flags are computed directly from the
 sequences. A state-level mode, for validation, feeds the same acknowledgment
@@ -33,7 +35,7 @@ import numpy.random  # numpy loads it on first use; load it with the package
 from . import analytics
 from .aloha import Protocol
 from .bandit import regret_envelope_explicit, run_ts
-from .channel import ChannelParams, block_success_prob
+from .channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 from .control import LtiSystem, longest_runs, run_block_rested, run_block_restless
 from .geometry import NetworkRealization, PppConfig, sample_ppp
 
@@ -128,33 +130,23 @@ class RegretStudyResult:
     envelope: np.ndarray
 
 
-def _block_geometry(ppp: PppConfig, n_blocks: int, rng: np.random.Generator,
-                    realization: Optional[NetworkRealization] = None):
-    """Interferer distances of n_blocks blocks, concatenated, and per-block
-    counts: fresh Poisson geometries, or `realization` repeated."""
-    if realization is not None:
-        counts = np.full(n_blocks, realization.num_interferers)
-        return np.tile(realization.interferer_distances, n_blocks), counts
-    counts = rng.poisson(ppp.mean_count, n_blocks)
-    return ppp.window_radius_R * np.sqrt(rng.random(int(counts.sum()))), counts
-
-
-def _acks_chunk(
-    ppp: PppConfig,
-    channel: ChannelParams,
-    protocol: Protocol,
-    q: float,
-    T: int,
-    n_blocks: int,
-    rng: np.random.Generator,
-    realization: Optional[NetworkRealization] = None,
-) -> np.ndarray:
-    """Success sequences for a chunk of blocks, shape (n_blocks, T)."""
-    distances, counts = _block_geometry(ppp, n_blocks, rng, realization)
-    p = block_success_prob(distances, counts, ppp.typical_distance_r0, channel,
-                           protocol, q, rng)
-    access = rng.random((n_blocks, 1 if protocol is Protocol.BLOCK else T)) < q
-    return (rng.random((n_blocks, T)) < access * p[:, None]).astype(np.uint8)
+def _chunk_success_prob(ppp: PppConfig, channel: ChannelParams, protocol: Protocol, q: float,
+                        n_blocks: int, rng: np.random.Generator,
+                        fixed_factors: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-slot success probability of n_blocks blocks: fresh Poisson
+    geometries, whose factors are computed once (their distances die with
+    that call), or one realization's `fixed_factors` repeated."""
+    if fixed_factors is None:
+        counts = rng.poisson(ppp.mean_count, n_blocks)
+        factors = suppression_factors(
+            ppp.window_radius_R * np.sqrt(rng.random(int(counts.sum()))),
+            ppp.typical_distance_r0, channel)
+    else:
+        counts = np.full(n_blocks, fixed_factors.size)
+        factors = np.tile(fixed_factors, n_blocks)
+    return block_success_prob(factors, block_owner(counts), n_blocks,
+                              channel.noise_success_factor(ppp.typical_distance_r0),
+                              protocol, q, rng)
 
 
 def simulate_ack_blocks(
@@ -173,10 +165,15 @@ def simulate_ack_blocks(
     n_chunks = (n_blocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
     seeds = seed_seq.spawn(n_chunks)
     sizes = [min(CHUNK_BLOCKS, n_blocks - i * CHUNK_BLOCKS) for i in range(n_chunks)]
+    fixed = None if realization is None else suppression_factors(
+        realization.interferer_distances, ppp.typical_distance_r0, channel)
 
     def work(i):
+        """Success sequences of chunk i, shape (sizes[i], T)."""
         rng = np.random.Generator(np.random.PCG64(seeds[i]))
-        return _acks_chunk(ppp, channel, protocol, q, T, sizes[i], rng, realization)
+        p = _chunk_success_prob(ppp, channel, protocol, q, sizes[i], rng, fixed)
+        access = rng.random((sizes[i], 1 if protocol is Protocol.BLOCK else T)) < q
+        return (rng.random((sizes[i], T)) < access * p[:, None]).astype(np.uint8)
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -299,9 +296,8 @@ def estimate_meta_empirical(
     hits = 0
     n = config.num_realizations
     for first in range(0, n, CHUNK_BLOCKS):
-        distances, counts = _block_geometry(config.ppp, min(CHUNK_BLOCKS, n - first), rng)
-        p = block_success_prob(distances, counts, config.ppp.typical_distance_r0,
-                               config.channel, protocol, q, rng)
+        p = _chunk_success_prob(config.ppp, config.channel, protocol, q,
+                                min(CHUNK_BLOCKS, n - first), rng)
         hits += int(np.count_nonzero(p >= pstar))
     return hits / n
 

@@ -76,8 +76,11 @@ def success_prob_hand_case():
     # one interferer at 20 m, r0 = 10, alpha = 2, gamma = 1, N0 = 0:
     # p = 1 / (1 + (20/10)^-2) = 0.8 under block (all active) and classical q = 1
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
+    x = channel.suppression_factors([20.0], 10.0, params)
     for protocol in Protocol:
-        p = channel.block_success_prob([20.0], [1], 10.0, params, protocol, 1.0, _rng(0))
+        p = channel.block_success_prob(x, channel.block_owner([1]), 1,
+                                       params.noise_success_factor(10.0), protocol, 1.0,
+                                       _rng(0))
         assert abs(p[0] - 0.8) < 1e-12, (protocol, p)
 
 
@@ -86,8 +89,11 @@ def conditional_success_hand_cases():
     # noiseless: no interferer gives 1, one at the typical distance 1/2, both
     # with it active (block) and with classical q = 1
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
+    x = channel.suppression_factors([10.0], 10.0, params)
     for protocol in Protocol:
-        p = channel.block_success_prob([10.0], [0, 1], 10.0, params, protocol, 1.0, _rng(0))
+        p = channel.block_success_prob(x, channel.block_owner([0, 1]), 2,
+                                       params.noise_success_factor(10.0), protocol, 1.0,
+                                       _rng(0))
         assert p[0] == 1.0 and abs(p[1] - 0.5) < 1e-12, (protocol, p)
 
 
@@ -150,10 +156,12 @@ def run_detectors_vs_scan():
             run = run + 1 if s else 0
             best = max(best, run)
         assert control.longest_runs(acks)[0] == best
-        assert control.is_block_controllable_restless(acks, v) == (best >= v)
-        assert control.is_block_controllable_rested(acks, v) == (acks.sum() >= v)
-        if control.is_block_controllable_restless(acks, v):
-            assert control.is_block_controllable_rested(acks, v)
+        restless = control.longest_runs(acks)[0] >= v
+        rested = np.count_nonzero(acks) >= v
+        assert restless == (best >= v)
+        assert rested == (acks.sum() >= v)
+        if restless:
+            assert rested
 
 
 @check

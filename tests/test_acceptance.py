@@ -20,13 +20,11 @@ from alohactrl.analytics import (
     run_ccdf_demoivre,
 )
 from alohactrl.bandit import regret_envelope_explicit, run_ts
-from alohactrl.channel import ChannelParams, block_success_prob
+from alohactrl.channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 from alohactrl.cli import main as cli_main
 from alohactrl.config import load_config
 from alohactrl.control import (
     LtiSystem,
-    is_block_controllable_rested,
-    is_block_controllable_restless,
     longest_runs,
     run_block_rested,
     run_block_restless,
@@ -52,8 +50,10 @@ def rng(seed):
 def kernel_classical(real, q, params):
     """The success kernel on one realization under per-slot Bernoulli(q)
     activity (q = 1: every interferer active); classical ALOHA draws nothing."""
-    return block_success_prob(real.interferer_distances, [real.num_interferers],
-                              real.typical_distance_r0, params, Protocol.CLASSICAL, q,
+    r0 = real.typical_distance_r0
+    return block_success_prob(suppression_factors(real.interferer_distances, r0, params),
+                              block_owner([real.num_interferers]), 1,
+                              params.noise_success_factor(r0), Protocol.CLASSICAL, q,
                               rng(0))[0]
 
 
@@ -436,12 +436,8 @@ def test_c9_control_loop_invariants():
         assert np.allclose(tr_rd.states_x[0], tr_rd.estimates_xhat[0], atol=1e-9)
 
         # definition consistency
-        assert tr_rl.block_controllable[0] == is_block_controllable_restless(
-            tr_rl.acks_S[0], sys.v
-        )
-        assert tr_rd.block_controllable[0] == is_block_controllable_rested(
-            tr_rd.acks_S[0], sys.v
-        )
+        assert tr_rl.block_controllable[0] == (longest_runs(tr_rl.acks_S[0])[0] >= sys.v)
+        assert tr_rd.block_controllable[0] == (np.count_nonzero(tr_rd.acks_S[0]) >= sys.v)
 
         # terminal accuracy: reach x_des right after the controllability
         # condition is first met, and hold it to the end of the block

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from alohactrl.aloha import Protocol
-from alohactrl.channel import ChannelParams, block_success_prob
+from alohactrl.channel import ChannelParams, block_owner, block_success_prob
 from alohactrl.geometry import PppConfig, sample_ppp
 from alohactrl.montecarlo import simulate_ack_blocks
 
@@ -72,15 +72,15 @@ class TestThinningConsistency:
     def test_active_counts_poisson(self):
         # active interferers under block ALOHA form a Poisson(q * mean) count.
         # Every interferer sits at the typical distance with no noise, so each
-        # active one halves the kernel's value: count = -log2(p).
+        # active one halves the kernel's value (factor 1/2): count = -log2(p).
         from scipy import stats
 
         cfg = PppConfig(2e-3, 50.0, 10.0)  # mean ~15.7
         q = 0.4
         g = rng(7)
         counts = np.array([sample_ppp(cfg, g).num_interferers for _ in range(10_000)])
-        p = block_success_prob(np.full(counts.sum(), 10.0), counts, 10.0,
-                               ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0), Protocol.BLOCK, q, g)
+        p = block_success_prob(np.full(counts.sum(), 0.5), block_owner(counts), counts.size,
+                               1.0, Protocol.BLOCK, q, g)
         active = np.rint(-np.log2(p)).astype(int)
         mu = q * cfg.mean_count
         lo, hi = 2, 13

@@ -26,7 +26,7 @@ from alohactrl.analytics import (
     prob_block_controllable_restless,
     run_ccdf_demoivre,
 )
-from alohactrl.channel import ChannelParams, block_success_prob
+from alohactrl.channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 from alohactrl.config import load_config
 from alohactrl.geometry import PppConfig, sample_ppp
 from alohactrl.montecarlo import estimate_meta_empirical
@@ -35,6 +35,14 @@ from alohactrl.selftest import _enumerate_run_tail as enumerate_run_tail
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def kernel_real(real, params, protocol, q, g):
+    """The success kernel on one realization, from its suppression factors."""
+    r0 = real.typical_distance_r0
+    return block_success_prob(suppression_factors(real.interferer_distances, r0, params),
+                              block_owner([real.num_interferers]), 1,
+                              params.noise_success_factor(r0), protocol, q, g)[0]
 
 
 def unit_params(alpha=4.0, gamma=1.0, N0=0.0):
@@ -231,8 +239,7 @@ class TestMomentZeta:
         vals = np.empty(n)
         for i in range(n):
             real = sample_ppp(cfg, g)
-            vals[i] = block_success_prob(real.interferer_distances, [real.num_interferers],
-                                         r0, params, Protocol.BLOCK, q, g)[0]
+            vals[i] = kernel_real(real, params, Protocol.BLOCK, q, g)
         assert abs(vals.mean() - want) / want < 0.02
 
 
@@ -380,8 +387,7 @@ class TestMetaDistribution:
         hits = 0
         for _ in range(n):
             real = sample_ppp(cfg, g)
-            hits += block_success_prob(real.interferer_distances, [real.num_interferers],
-                                       r0, params, Protocol.CLASSICAL, q, g)[0] >= pstar
+            hits += kernel_real(real, params, Protocol.CLASSICAL, q, g) >= pstar
         emp = hits / n
         assert abs(analytic - emp) < 0.015
 
@@ -399,8 +405,7 @@ class TestMetaDistribution:
         hits = 0
         for _ in range(n):
             real = sample_ppp(cfg, g)
-            hits += block_success_prob(real.interferer_distances, [real.num_interferers],
-                                       r0, params, Protocol.BLOCK, q, g)[0] >= pstar
+            hits += kernel_real(real, params, Protocol.BLOCK, q, g) >= pstar
         assert abs(analytic - hits / n) < 0.02
 
 

@@ -12,7 +12,7 @@ from alohactrl.bandit import (
     run_ts,
     select_arm,
 )
-from alohactrl.channel import ChannelParams, block_success_prob
+from alohactrl.channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 
 
@@ -26,8 +26,10 @@ def unit_params(alpha=2.0, gamma=1.0, N0=0.0):
 
 def block_reward(real, q, params, T):
     """Expected block reward T q P_cls(q) of arm q, from the success kernel."""
-    return T * q * block_success_prob(real.interferer_distances, [real.num_interferers],
-                                      real.typical_distance_r0, params, Protocol.CLASSICAL,
+    r0 = real.typical_distance_r0
+    return T * q * block_success_prob(suppression_factors(real.interferer_distances, r0, params),
+                                      block_owner([real.num_interferers]), 1,
+                                      params.noise_success_factor(r0), Protocol.CLASSICAL,
                                       q, rng())[0]
 
 
@@ -176,9 +178,9 @@ class TestRunTs:
         for r, real in enumerate(reals):
             # one kernel call: the realization once per arm, each with its arm as q
             mu = 20 * np.array(arms) * block_success_prob(
-                np.tile(real.interferer_distances, len(arms)),
-                [real.num_interferers] * len(arms), 10.0, params, Protocol.CLASSICAL, arms,
-                rng())
+                np.tile(suppression_factors(real.interferer_distances, 10.0, params), len(arms)),
+                block_owner([real.num_interferers] * len(arms)), len(arms),
+                params.noise_success_factor(10.0), Protocol.CLASSICAL, arms, rng())
             assert trace.oracle_arm_index[r] == np.argmax(mu)
             assert np.array_equal(trace.per_block_gap[r], mu.max() - mu[trace.arm_indices[r]])
 
@@ -236,6 +238,48 @@ class TestRunTs:
         _, history = run_ts(reals, [0.4, 0.8], Protocol.BLOCK, params, 5, 250, rng(17))
         assert [h["block"] for h in history] == [100, 200]
         assert all(h["posteriors"].shape == (3, 2, 2) for h in history)
+
+    def test_matches_per_step_reference_loop(self):
+        # run_ts computes the factors once per call; a plain loop that
+        # recomputes them from the distances at every step, with scalar
+        # posterior updates, gives the same arms, rewards, snapshots and
+        # generator state on the same seed (the last realization is empty)
+        params = ChannelParams(1.0, 1.0, 2.0, 2e-3, 1.5)
+        reals = [*realizations(2, 25), NetworkRealization(np.empty(0), 10.0)]
+        arms = np.array([0.2, 0.5, 0.8, 1.0])
+        R, D, T, K = 3, arms.size, 20, 300
+        distances = np.concatenate([r.interferer_distances for r in reals])
+        owner = block_owner([r.num_interferers for r in reals])
+        noise = params.noise_success_factor(10.0)
+        for protocol in Protocol:
+            g = rng(26)
+            a, b = np.ones((R, D)), np.ones((R, D))
+            arm_indices, rewards, snapshots = np.empty((R, K), int), np.empty((R, K)), []
+            for k in range(K):
+                d = select_arm(a, b, g)
+                q = arms[d]
+                factors = suppression_factors(distances, 10.0, params)
+                if protocol is Protocol.CLASSICAL:
+                    p = T * q * block_success_prob(factors, owner, R, noise, protocol, q, g) / T
+                else:
+                    access = g.random(R) < q
+                    p = access * block_success_prob(factors, owner, R, noise, protocol, q, g)
+                succ = g.binomial(T, p)
+                for r in range(R):
+                    a[r, d[r]] += succ[r]
+                    b[r, d[r]] += T - succ[r]
+                arm_indices[:, k], rewards[:, k] = d, succ
+                if (k + 1) % 100 == 0:
+                    snapshots.append(np.stack([a, b], axis=-1))
+
+            g_ts = rng(26)
+            trace, history = run_ts(reals, arms, protocol, params, T, K, g_ts)
+            assert np.array_equal(trace.arm_indices, arm_indices), protocol
+            assert np.array_equal(trace.block_rewards, rewards), protocol
+            assert [h["block"] for h in history] == [100, 200, 300]
+            for h, want in zip(history, snapshots):
+                assert np.array_equal(h["posteriors"], want), (protocol, h["block"])
+            assert g_ts.bit_generator.state == g.bit_generator.state, protocol
 
     def test_empty_arm_list_rejected(self):
         with pytest.raises(ValueError):

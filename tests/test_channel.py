@@ -6,10 +6,12 @@ import pytest
 from alohactrl.aloha import Protocol
 from alohactrl.channel import (
     ChannelParams,
+    block_owner,
     block_success_prob,
     dbm_to_watts,
     default_channel,
     freespace_pathloss_const,
+    suppression_factors,
     thermal_noise_watts,
 )
 
@@ -22,10 +24,17 @@ def unit_params(alpha=2.0, gamma=1.0, N0=0.0):
     return ChannelParams(1.0, 1.0, alpha, N0, gamma)
 
 
+def kernel(distances, counts, params, protocol, q, g, r0=10.0):
+    """The kernel on the factors of `distances`, blocks of `counts[b]`
+    interferers each, with typical-link length r0."""
+    return block_success_prob(suppression_factors(distances, r0, params), block_owner(counts),
+                              len(counts), params.noise_success_factor(r0), protocol, q, g)
+
+
 def kernel_one(distances, q, params, protocol=Protocol.CLASSICAL):
     """The kernel on one realization with r0 = 10; classical ALOHA at q = 1
     has every interferer active."""
-    return block_success_prob(distances, [len(distances)], 10.0, params, protocol, q, rng())[0]
+    return kernel(distances, [len(distances)], params, protocol, q, rng())[0]
 
 
 def direct_success(distances, q, params, r0=10.0):
@@ -70,12 +79,12 @@ class TestSinr:
     def test_no_interference_definition(self):
         # no interferers: P(eta rho r0^-a h > gamma N0) = exp(-gamma N0 / (eta rho r0^-a))
         params = ChannelParams(1.0, 1.0, 2.0, 1.0 * 1.0 * 10.0 ** -2.0, 1.0)
-        p = block_success_prob([], [0], 10.0, params, Protocol.BLOCK, 1.0, rng())
+        p = kernel([], [0], params, Protocol.BLOCK, 1.0, rng())
         assert p[0] == pytest.approx(math.exp(-1.0))
 
     def test_symmetry(self):
         # interferer at the typical distance, no noise: P(h0 > h1) = 1/2
-        p = block_success_prob([10.0], [1], 10.0, unit_params(), Protocol.BLOCK, 1.0, rng())
+        p = kernel([10.0], [1], unit_params(), Protocol.BLOCK, 1.0, rng())
         assert p[0] == pytest.approx(0.5)
 
 
@@ -135,8 +144,7 @@ class TestConditionalSuccessClassical:
         want = kernel_one(distances, q, params)
         g = rng(9)
         n = 100_000
-        vals = block_success_prob(np.tile(distances, n), np.full(n, 4), 10.0, params,
-                                  Protocol.BLOCK, q, g)
+        vals = kernel(np.tile(distances, n), np.full(n, 4), params, Protocol.BLOCK, q, g)
         se = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - want) < 3 * se
 
@@ -165,7 +173,7 @@ class TestBlockSuccessProb:
     params = ChannelParams(1.0, 1.0, 2.0, 2e-3, 1.5)
 
     def check_block(self, distances, counts, q, seed):
-        p = block_success_prob(distances, counts, 10.0, self.params, Protocol.BLOCK, q, rng(seed))
+        p = kernel(distances, counts, self.params, Protocol.BLOCK, q, rng(seed))
         # replay the kernel's activity draw: one uniform per interferer, in order
         active = rng(seed).random(distances.size) < q
         assert p.shape == (len(counts),)
@@ -174,7 +182,7 @@ class TestBlockSuccessProb:
             assert abs(p[b] - want) <= 1e-12, (b, p[b], want)
 
     def check_classical(self, distances, counts, q):
-        p = block_success_prob(distances, counts, 10.0, self.params, Protocol.CLASSICAL, q, rng())
+        p = kernel(distances, counts, self.params, Protocol.CLASSICAL, q, rng())
         assert p.shape == (len(counts),)
         for b, seg in enumerate(segments(distances, counts)):
             want = direct_success(distances[seg], q, self.params)
@@ -200,7 +208,7 @@ class TestBlockSuccessProb:
         self.check_block(tiled, counts, 0.5, seed=34)
         self.check_classical(tiled, counts, 0.5)
         for protocol in Protocol:
-            p = block_success_prob([], np.zeros(3, int), 10.0, self.params, protocol, 0.5, rng())
+            p = kernel([], np.zeros(3, int), self.params, protocol, 0.5, rng())
             assert np.all(p == self.params.noise_success_factor(10.0))
 
     def test_per_block_q_matches_scalar_calls(self):
@@ -209,24 +217,61 @@ class TestBlockSuccessProb:
         distances, counts = segmented_geometry(rng(35), n_blocks=120)
         q = rng(36).random(counts.size)
         for protocol in Protocol:
-            p = block_success_prob(distances, counts, 10.0, self.params, protocol, q, rng(37))
+            p = kernel(distances, counts, self.params, protocol, q, rng(37))
             replay = rng(37)
             for b, seg in enumerate(segments(distances, counts)):
-                want = block_success_prob(distances[seg], [counts[b]], 10.0, self.params,
-                                          protocol, float(q[b]), replay)[0]
+                want = kernel(distances[seg], [counts[b]], self.params, protocol, float(q[b]),
+                              replay)[0]
                 assert abs(p[b] - want) <= 1e-12, (protocol, b, p[b], want)
 
     def test_scalar_q_equals_broadcast_array(self):
         distances, counts = segmented_geometry(rng(38))
         for protocol in Protocol:
-            scalar = block_success_prob(distances, counts, 10.0, self.params, protocol,
-                                        0.4, rng(39))
-            array = block_success_prob(distances, counts, 10.0, self.params, protocol,
-                                       np.full(counts.size, 0.4), rng(39))
+            scalar = kernel(distances, counts, self.params, protocol, 0.4, rng(39))
+            array = kernel(distances, counts, self.params, protocol, np.full(counts.size, 0.4),
+                           rng(39))
             assert np.array_equal(scalar, array), protocol
+
+    def test_factors_once_serve_repeated_calls(self):
+        # factors computed once per geometry, as the simulators and run_ts
+        # hold them, serve call after call on one generator: every call
+        # matches the product written out from the distances, block ALOHA
+        # with its own fresh activity draw (one uniform per interferer, in
+        # order) and classical drawing nothing
+        distances, counts = segmented_geometry(rng(41))
+        factors = suppression_factors(distances, 10.0, self.params)
+        owner = block_owner(counts)
+        noise = self.params.noise_success_factor(10.0)
+        for q in (0.3, rng(42).random(counts.size)):
+            q_b = np.broadcast_to(q, counts.shape)
+            for protocol in Protocol:
+                g, replay = rng(43), rng(43)
+                for _ in range(3):
+                    p = block_success_prob(factors, owner, counts.size, noise, protocol, q, g)
+                    if protocol is Protocol.BLOCK:
+                        active = replay.random(distances.size) < np.repeat(q_b, counts)
+                    for b, seg in enumerate(segments(distances, counts)):
+                        if protocol is Protocol.BLOCK:
+                            want = direct_success(distances[seg][active[seg]], 1.0, self.params)
+                        else:
+                            want = direct_success(distances[seg], q_b[b], self.params)
+                        assert abs(p[b] - want) <= 1e-12, (protocol, b, p[b], want)
+                assert g.bit_generator.state == replay.bit_generator.state, protocol
+
+    def test_protocol_given_as_string(self):
+        # the protocol's value selects the same branch, draws included, and an
+        # unknown one is refused
+        distances, counts = segmented_geometry(rng(44))
+        for protocol in Protocol:
+            g_enum, g_str = rng(45), rng(45)
+            want = kernel(distances, counts, self.params, protocol, 0.4, g_enum)
+            got = kernel(distances, counts, self.params, protocol.value, 0.4, g_str)
+            assert np.array_equal(got, want), protocol
+            assert g_str.bit_generator.state == g_enum.bit_generator.state, protocol
+        with pytest.raises(ValueError):
+            kernel(distances, counts, self.params, "blok", 0.4, rng())
 
     def test_per_block_q_must_align_with_counts(self):
         distances, counts = segmented_geometry(rng(40), n_blocks=10)
         with pytest.raises(ValueError):
-            block_success_prob(distances, counts, 10.0, self.params, Protocol.BLOCK,
-                               np.full(9, 0.5), rng())
+            kernel(distances, counts, self.params, Protocol.BLOCK, np.full(9, 0.5), rng())

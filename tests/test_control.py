@@ -8,8 +8,6 @@ from alohactrl.control import (
     design_inputs,
     feedback_input,
     holding_input,
-    is_block_controllable_rested,
-    is_block_controllable_restless,
     longest_runs,
     minimal_poly_degree,
     propagate,
@@ -166,11 +164,13 @@ class TestPropagateAndEstimate:
 
 
 class TestControllabilityFlags:
+    """Restless: longest_runs(acks) >= v; rested: count_nonzero(acks) >= v."""
+
     def test_simple_cases(self):
-        assert is_block_controllable_restless([1, 1, 1], 2)
-        assert not is_block_controllable_restless([1, 0, 1, 0, 1], 2)
-        assert is_block_controllable_rested([1, 0, 1, 0], 2)
-        assert not is_block_controllable_rested([0, 0, 0], 1)
+        assert longest_runs([1, 1, 1])[0] >= 2
+        assert not longest_runs([1, 0, 1, 0, 1])[0] >= 2
+        assert np.count_nonzero([1, 0, 1, 0]) >= 2
+        assert not np.count_nonzero([0, 0, 0]) >= 1
 
     def test_against_scan_oracle_bulk(self):
         g = rng(10)
@@ -185,8 +185,8 @@ class TestControllabilityFlags:
         totals = acks.sum(axis=1)
         assert np.array_equal(longest_runs(acks), best)
         for i in range(0, 100_000, 997):  # spot-check the scalar ops
-            assert is_block_controllable_restless(acks[i], int(vs[i])) == (best[i] >= vs[i])
-            assert is_block_controllable_rested(acks[i], int(vs[i])) == (totals[i] >= vs[i])
+            assert (longest_runs(acks[i])[0] >= vs[i]) == (best[i] >= vs[i])
+            assert (np.count_nonzero(acks[i]) >= vs[i]) == (totals[i] >= vs[i])
         # implication law on the full batch: run >= v implies total >= v
         assert np.all(totals[best >= vs] >= vs[best >= vs])
 
@@ -254,9 +254,7 @@ class TestRestlessBlock:
             acks = (g.random(T) < 0.6).astype(int)
             trace = run_block_restless(sys, acks & access, x0)
             assert np.allclose(trace.states_x, trace.estimates_xhat, atol=1e-8)
-            assert trace.block_controllable[0] == is_block_controllable_restless(
-                trace.acks_S[0], sys.v
-            )
+            assert trace.block_controllable[0] == (longest_runs(trace.acks_S[0])[0] >= sys.v)
 
 
 class TestRestedBlock:
@@ -311,9 +309,7 @@ class TestRestedBlock:
             acks = (g.random(T) < 0.6).astype(int)
             trace = run_block_rested(sys, acks & access, x0)
             assert np.allclose(trace.states_x, trace.estimates_xhat, atol=1e-8)
-            assert trace.block_controllable[0] == is_block_controllable_rested(
-                trace.acks_S[0], sys.v
-            )
+            assert trace.block_controllable[0] == (np.count_nonzero(trace.acks_S[0]) >= sys.v)
 
     def test_rested_weaker_than_restless(self):
         g = rng(24)
@@ -321,8 +317,8 @@ class TestRestedBlock:
             T = int(g.integers(3, 15))
             v = int(g.integers(1, 5))
             acks = (g.random(T) < 0.5).astype(int)
-            if is_block_controllable_restless(acks, v):
-                assert is_block_controllable_rested(acks, v)
+            if longest_runs(acks)[0] >= v:
+                assert np.count_nonzero(acks) >= v
 
 
 def reference_restless(sys, access, acks, x0, w):

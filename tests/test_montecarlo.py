@@ -10,7 +10,9 @@ from alohactrl.aloha import Protocol
 from alohactrl.bandit import run_ts
 from alohactrl.cli import main as cli_main
 from alohactrl.config import load_config
-from alohactrl.channel import ChannelParams, block_success_prob, default_channel
+from alohactrl.channel import (
+    ChannelParams, block_owner, block_success_prob, default_channel, suppression_factors,
+)
 from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
@@ -20,7 +22,7 @@ from alohactrl.montecarlo import (
     estimate_meta_empirical,
     run_regret_study,
     simulate_ack_blocks,
-    _block_geometry,
+    _chunk_success_prob,
 )
 from alohactrl.control import longest_runs
 
@@ -75,11 +77,21 @@ class TestSimulateAckBlocks:
         assert acks.shape == (5000, 10) and not acks.any()
 
     def test_fixed_geometry_blocks_repeat_the_realization(self):
+        # the realization's factors, repeated as 4 blocks of 3, equal the
+        # kernel on the tiled distances, activity draws included
         ppp = PppConfig(5e-4, 150.0, 10.0)
+        params = unit_params(alpha=2.0)
         real = NetworkRealization(np.array([12.0, 30.0, 55.0]), 10.0)
-        distances, counts = _block_geometry(ppp, 4, np.random.default_rng(0), real)
-        assert list(counts) == [3, 3, 3, 3]
-        assert np.array_equal(distances, np.tile(real.interferer_distances, 4))
+        fixed = suppression_factors(real.interferer_distances, 10.0, params)
+        tiled = suppression_factors(np.tile(real.interferer_distances, 4), 10.0, params)
+        for protocol in Protocol:
+            once, per_block = np.random.default_rng(0), np.random.default_rng(0)
+            got = _chunk_success_prob(ppp, params, protocol, 0.5, 4, once, fixed)
+            want = block_success_prob(tiled, block_owner([3, 3, 3, 3]), 4,
+                                      params.noise_success_factor(10.0), protocol, 0.5,
+                                      per_block)
+            assert np.array_equal(got, want), protocol
+            assert once.bit_generator.state == per_block.bit_generator.state
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_fixed_geometry_success_rate(self, protocol):
@@ -92,9 +104,10 @@ class TestSimulateAckBlocks:
         acks = simulate_ack_blocks(PppConfig(5e-4, 150.0, 10.0), params, protocol, q, T,
                                    n_blocks, np.random.SeedSequence(8), realization=real)
         totals = acks.sum(axis=1)
-        want = T * q * block_success_prob(real.interferer_distances, [real.num_interferers],
-                                          10.0, params, Protocol.CLASSICAL, q,
-                                          np.random.default_rng(0))[0]
+        want = T * q * block_success_prob(
+            suppression_factors(real.interferer_distances, 10.0, params),
+            block_owner([real.num_interferers]), 1, params.noise_success_factor(10.0),
+            Protocol.CLASSICAL, q, np.random.default_rng(0))[0]
         se = totals.std(ddof=1) / math.sqrt(n_blocks)
         assert abs(totals.mean() - want) < 3 * se
 
