@@ -2,18 +2,20 @@
 
 Implements, for the typical pair of a Poisson bipolar network:
 
-* the longest-run tail P(run of >= v ones in T Bernoulli trials) via the
-  alternating de Moivre sum;
-* moments of the conditional success probability through the Poisson
+* the longest-run tail P(run of >= v ones in T Bernoulli trials), the
+  de Moivre polynomial sum_k c_k p^k with exact integer coefficients;
+* moments zeta_k of the conditional success probability through the Poisson
   probability generating functional (radial integral over the same finite
   window the simulator uses; the planar Jacobian z dz is included);
-* the averaged restless block-controllability probability (moment expansion
-  of the run tail);
+* the averaged restless block-controllability probability sum_k c_k zeta_k;
 * binomial tails, their inverse thresholds, and the rested-system meta
   distribution P(P >= p*) (Haenggi, IEEE TWC 2016) from the exact law of P:
   inside the window, S = -ln(P/p0) is a compound-Poisson sum of i.i.d.
   jumps with a closed-form CDF, so one FFT gives it (Embrechts and Frei,
   Math. Methods Oper. Res. 2009).
+
+One access rule (a, c) = `_access(q, protocol)` carries block ALOHA (q, 1)
+and classical ALOHA (1, q): a block meets a tail target w.p. a tail(c P).
 
 The network is the simulator's own `geometry.PppConfig`: its density, its
 typical pair distance and the finite disk window that all integrals run
@@ -83,23 +85,51 @@ class MetaQuery:
 # Longest-run tail (de Moivre)
 # ---------------------------------------------------------------------------
 
-def run_ccdf_demoivre(T: int, v: int, p: float) -> float:
-    """P(longest run of ones >= v) in T i.i.d. Bernoulli(p) trials.
+@functools.lru_cache(maxsize=256)
+def _run_tail_coefficients(T: int, v: int) -> tuple[int, ...]:
+    """Exact integer c_0..c_T with P(longest run of ones >= v) = sum_k c_k p^k
+    in T i.i.d. Bernoulli(p) trials.
 
-    Alternating sum with l up to floor((T+1)/(v+1)), evaluated in exact
-    rational arithmetic so that no term cancels in floating point.
+    Expands de Moivre's alternating sum over l up to floor((T+1)/(v+1)),
+    sum_l (-1)^(l+1) p^(lv) (1-p)^(l-1) [C(T-lv, l-1) p + C(T-lv+1, l) (1-p)],
+    in powers of p. The p^(T+1) terms of l = (T+1)/(v+1) cancel.
     """
     if not 1 <= v <= T:
         raise ValueError("need 1 <= v <= T")
+    c = [0] * (T + 2)
+    for l in range(1, (T + 1) // (v + 1) + 1):
+        sign = 1 if l % 2 else -1
+        with_p, with_not_p = math.comb(T - l * v, l - 1), math.comb(T - l * v + 1, l)
+        for e in range(l):  # p^(lv+1) (1-p)^(l-1)
+            c[l * v + 1 + e] += sign * (-1) ** e * math.comb(l - 1, e) * with_p
+        for e in range(l + 1):  # p^(lv) (1-p)^l
+            c[l * v + e] += sign * (-1) ** e * math.comb(l, e) * with_not_p
+    return tuple(c[:T + 1])
+
+
+def run_ccdf_demoivre(T: int, v: int, p: float) -> float:
+    """P(longest run of ones >= v) in T i.i.d. Bernoulli(p) trials.
+
+    The de Moivre polynomial is evaluated exactly, in integers over the
+    common denominator d^T of p = n/d, so no term cancels in floating point.
+    """
+    coeffs = _run_tail_coefficients(T, v)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    pf = Fraction(p)
-    total = Fraction(0)
-    for l in range(1, (T + 1) // (v + 1) + 1):
-        sign = -1 if l % 2 == 0 else 1
-        bracket = pf + Fraction(T - l * v + 1, l) * (1 - pf)
-        total += sign * bracket * math.comb(T - l * v, l - 1) * pf ** (l * v) * (1 - pf) ** (l - 1)
-    return min(1.0, max(0.0, float(total)))
+    n, d = Fraction(p).as_integer_ratio()
+    numerator = sum(ck * n**k * d**(T - k) for k, ck in enumerate(coeffs) if ck)
+    return float(Fraction(numerator, d**T))
+
+
+def _access(q: float, protocol: Protocol) -> tuple[float, float]:
+    """The access rule (a, c): a is the block-level access weight of the
+    typical pair and the active share of the interferers, c the per-slot
+    access share inside the success probability. Block ALOHA is (q, 1),
+    classical ALOHA (1, q).
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must lie in [0, 1]")
+    return (q, 1.0) if Protocol(protocol) is Protocol.BLOCK else (1.0, q)
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +138,15 @@ def run_ccdf_demoivre(T: int, v: int, p: float) -> float:
 
 def _base_loss(z, q: float, channel: ChannelParams, r0: float, protocol: Protocol):
     """1 - base(z), one interferer's per-slot factor at radius z subtracted
-    from 1, computed as q_c eps x(z) so that it keeps its digits far out.
+    from 1, computed as c eps x(z) so that it keeps its digits far out.
 
     x(z) = 1 / (1 + eps) is `suppression_factors`, eps = gamma (z/r0)^(-a);
-    the base is x(z) for block ALOHA (q_c = 1) and q x(z) + 1 - q for
-    classical ALOHA (q_c = q).
+    the base is c x(z) + 1 - c with the per-slot access share c of
+    `_access`: x(z) for block ALOHA, q x(z) + 1 - q for classical.
     """
-    q_c = q if protocol is Protocol.CLASSICAL else 1.0
+    _, c = _access(q, protocol)
     eps = channel.sinr_threshold_gamma * (z / r0) ** -channel.pathloss_exp_alpha
-    return q_c * eps * suppression_factors(z, r0, channel)
+    return c * eps * suppression_factors(z, r0, channel)
 
 
 # The radial quadrature stops once its summed error estimate meets
@@ -196,15 +226,14 @@ def interference_log_integral(
     """log of the PGFL interference factor for the given moment order.
 
     Returns -2 pi lam_eff * Int_0^R (1 - base(z)^order) z dz over the window
-    radius R, where the thinned intensity lam_eff is q*lam for block ALOHA
-    (only active interferers enter the product) and lam for classical ALOHA
-    (the per-slot thinning sits inside the base).
+    radius R, where the thinned intensity lam_eff = a lam takes the block
+    weight a of `_access`: q lam for block ALOHA (only active interferers
+    enter the product), lam for classical ALOHA (the per-slot thinning sits
+    inside the base).
     """
-    protocol = Protocol(protocol)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    lam, r0 = ppp.intensity_lambda, ppp.typical_distance_r0
-    lam_eff = q * lam if protocol is Protocol.BLOCK else lam
+    a, _ = _access(q, protocol)
+    r0 = ppp.typical_distance_r0
+    lam_eff = a * ppp.intensity_lambda
     if lam_eff == 0.0 or order == 0:
         return 0.0
 
@@ -218,20 +247,18 @@ def interference_log_integral(
 def moment_zeta(
     l: int, q: float, ppp: PppConfig, channel: ChannelParams, protocol: Protocol,
 ) -> float:
-    """l-th moment of the conditional success probability.
+    """l-th moment zeta_l = E[(c P)^l] of the per-slot success probability,
+    with the per-slot access share c of `_access`.
 
     Block: E[P_blk^l]; classical: E[(q P_cls)^l] (the typical pair's own
     access probability is kept inside the moment).
     """
-    protocol = Protocol(protocol)
     if l < 1:
         raise ValueError("l must be a positive integer")
+    _, c = _access(q, protocol)
     noise = channel.noise_success_factor(ppp.typical_distance_r0, power=float(l))
     exponent = interference_log_integral(l, q, ppp, channel, protocol)
-    value = noise * math.exp(exponent)
-    if protocol is Protocol.CLASSICAL:
-        value *= q ** l
-    return value
+    return noise * math.exp(exponent) * c ** l
 
 
 def prob_block_controllable_restless(
@@ -239,39 +266,16 @@ def prob_block_controllable_restless(
 ) -> float:
     """Network-averaged probability of a length-v success run in a block.
 
-    Expectation of the de Moivre tail over the success-probability
-    distribution, expanded into moments; the block-ALOHA value carries the
-    typical pair's access factor q up front, the classical value keeps q
-    inside the moments. Raises `QuadratureError` when the alternating sum
-    cancels to below 1e-6 of its largest term.
+    With the access rule (a, c) of `_access`, this is a E[runtail(T, v, c P)]
+    = a sum_k c_k zeta_k: the exact integer de Moivre coefficients c_k of
+    `_run_tail_coefficients` applied to the moments zeta_k of `moment_zeta`.
+    Raises `QuadratureError` when the alternating sum cancels to below 1e-6
+    of its largest term.
     """
-    protocol = Protocol(protocol)
-    if not 1 <= v <= T:
-        raise ValueError("need 1 <= v <= T")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-
-    cache: dict[int, float] = {}
-
-    def zeta(order: int) -> float:
-        if order not in cache:
-            cache[order] = moment_zeta(order, q, ppp, channel, protocol)
-        return cache[order]
-
-    lmax = (T + 1) // (v + 1)
-    terms = []
-    for l in range(1, lmax + 1):
-        sign = -1.0 if l % 2 == 0 else 1.0
-        outer = math.comb(T - l * v, l - 1)
-        for e in range(l):
-            terms.append(
-                sign * outer * math.comb(l - 1, e) * (-1.0) ** e * zeta(l * v + 1 + e)
-            )
-        coef = (T - l * v + 1) / l
-        for e in range(l + 1):
-            terms.append(
-                sign * outer * coef * math.comb(l, e) * (-1.0) ** e * zeta(l * v + e)
-            )
+    coeffs = _run_tail_coefficients(T, v)
+    a, _ = _access(q, protocol)
+    terms = [ck * moment_zeta(k, q, ppp, channel, protocol)
+             for k, ck in enumerate(coeffs) if ck]
     total = math.fsum(terms)
     largest = max(abs(t) for t in terms)
     if total != 0.0 and largest / abs(total) > 1e6:
@@ -280,9 +284,7 @@ def prob_block_controllable_restless(
             "the moment expansion has lost its precision",
             largest * _REL_TOL,
         )
-    if protocol is Protocol.BLOCK:
-        total *= q
-    return min(1.0, max(0.0, total))
+    return min(1.0, max(0.0, a * total))
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +318,23 @@ def binomial_tail(T: int, v: int, p: float) -> float:
 def inverse_tail_threshold(
     T: int, v: int, q: float, beta: float, protocol: Protocol
 ) -> Optional[float]:
-    """Smallest p in [0, 1] whose (access-weighted) binomial tail reaches beta.
+    """Smallest p in [0, 1] whose access-weighted binomial tail
+    a binomial_tail(T, v, c p) reaches beta, with (a, c) from `_access`.
 
     Block weights the tail by q; classical evaluates the tail at success
     probability q*p. Returns None when even p = 1 cannot reach beta, and 1
-    under block ALOHA with beta = q, where only p = 1 gives a tail of 1.
-    The bisection is cached, so the analytic and the empirical side of a
-    meta point share one.
+    when beta = a (block ALOHA with beta = q), where only p = 1 gives a tail
+    of 1. The bisection is cached, so the analytic and the empirical side of
+    a meta point share one.
     """
-    protocol = Protocol(protocol)
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-
-    if protocol is Protocol.BLOCK:
-        if beta == q:
-            return 1.0
-        meets = lambda p: q * binomial_tail(T, v, p) >= beta
-    else:
-        meets = lambda p: binomial_tail(T, v, q * p) >= beta
-
+    a, c = _access(q, protocol)
+    if beta == a:
+        return 1.0
+    meets = lambda p: a * binomial_tail(T, v, c * p) >= beta
     if not meets(1.0):
         return None
     lo, hi = 0.0, 1.0
@@ -367,12 +365,13 @@ def _jump_cdf(t, q, channel: ChannelParams, ppp: PppConfig, protocol: Protocol):
     """P(J <= t) for one interferer's jump J = -ln base(z), z with CDF z^2/R^2.
 
     base(z) >= e^-t holds beyond z(t) = r0 (gamma x_t / (1 - x_t))^(1/alpha),
-    with x_t = 1 - (1 - e^-t)/q_c (q_c = q for classical ALOHA, 1 for block);
-    classical jumps end at -ln(1 - q), where x_t reaches 0.
+    with x_t = 1 - (1 - e^-t)/c and the per-slot access share c of `_access`
+    (q for classical ALOHA, 1 for block); classical jumps end at -ln(1 - q),
+    where x_t reaches 0.
     """
-    q_c = q if protocol is Protocol.CLASSICAL else 1.0
+    _, c = _access(q, protocol)
     r0, L = ppp.typical_distance_r0, ppp.window_radius_R
-    one_minus_x = -np.expm1(-t) / q_c
+    one_minus_x = -np.expm1(-t) / c
     with np.errstate(divide="ignore"):
         ratio = channel.sinr_threshold_gamma * np.maximum(1.0 - one_minus_x, 0.0) / one_minus_x
     z2 = r0 * r0 * ratio ** (2.0 / channel.pathloss_exp_alpha)
@@ -396,11 +395,12 @@ def _log_success_law(s_max: float, cells: int, q: float, ppp: PppConfig,
                      channel: ChannelParams, protocol: Protocol):
     """Atoms of S = -ln(P/p0) at k s_max/cells, k = 0..cells.
 
-    S sums Poisson(lam_eff pi R^2) i.i.d. jumps (lam_eff = q lam under block
-    ALOHA, lam under classical). Each grid cell's jump mass is split between
-    its two ends so that the cell's mean is kept: equally (second order in
-    the step), except in the first cell, where the far interferers' many
-    tiny jumps get their exact mean from one quadrature.
+    S sums Poisson(lam a pi R^2) i.i.d. jumps, with the block weight a of
+    `_access` (q under block ALOHA, 1 under classical). Each grid cell's
+    jump mass is split between its two ends so that the cell's mean is
+    kept: equally (second order in the step), except in the first cell,
+    where the far interferers' many tiny jumps get their exact mean from one
+    quadrature.
     Jumps beyond the grid are dropped (any one puts S past s_max), so the
     law is defective. One rfft/irfft pair of the tilted jump law gives it.
     """
@@ -418,8 +418,8 @@ def _log_success_law(s_max: float, cells: int, q: float, ppp: PppConfig,
     jumps[1] = head / dt + 0.5 * mass[1]
     n_fft = _next_5_smooth(4 * (cells + 1))
     tilt = np.exp(-_WRAP_DECAY / n_fft * np.arange(cells + 1))
-    lam_eff = ppp.intensity_lambda * (q if protocol is Protocol.BLOCK else 1.0)
-    mu = lam_eff * math.pi * L * L
+    a, _ = _access(q, protocol)
+    mu = ppp.intensity_lambda * a * math.pi * L * L
     law = fft.irfft(np.exp(mu * (fft.rfft(jumps * tilt, n_fft) - 1.0)), n_fft)
     return law[:cells + 1] / tilt
 
@@ -434,11 +434,10 @@ def meta_distribution_rested(query: MetaQuery, ppp: PppConfig, protocol: Protoco
     raised when it exceeds 2e-3. Returns 0 when no threshold p* in [0, 1] can
     meet beta (block ALOHA with q < beta).
     """
-    protocol = Protocol(protocol)
     pstar = inverse_tail_threshold(query.T, query.v, query.q, query.beta, protocol)
     if pstar is None:
         return 0.0
-    lam_eff = ppp.intensity_lambda * (query.q if protocol is Protocol.BLOCK else 1.0)
+    lam_eff = ppp.intensity_lambda * _access(query.q, protocol)[0]
     if pstar <= 1e-300:
         return 1.0
     s_star = -query.channel.noise_exponent(ppp.typical_distance_r0) - math.log(pstar)

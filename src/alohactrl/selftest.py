@@ -29,7 +29,7 @@ def _rng(seed=0):
 
 
 def _enumerate_run_tail(T, v, p):
-    total = 0.0
+    total = 0
     for bits in product((0, 1), repeat=T):
         run = best = 0
         for b in bits:

@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from alohactrl.analytics import (
     _log_success_law,
     _next_5_smooth,
     _quad_checked,
+    _run_tail_coefficients,
     binomial_tail,
     interference_log_integral,
     inverse_tail_threshold,
@@ -95,6 +98,26 @@ class TestRunCcdfDemoivre:
         if v > T:
             v = T
         assert run_ccdf_demoivre(T, v, p) <= binomial_tail(T, v, p) + 1e-12
+
+
+class TestRunTailCoefficients:
+    def test_integer_polynomial_of_degree_at_most_T(self):
+        for T in range(1, 31):
+            for v in range(1, T + 1):
+                coeffs = _run_tail_coefficients(T, v)
+                assert all(type(ck) is int for ck in coeffs)
+                assert len(coeffs) <= T + 1
+                assert not any(coeffs[:v])
+                assert sum(coeffs) == 1  # the tail at p = 1
+
+    def test_exact_against_enumeration(self):
+        for T in range(1, 11):
+            for v in range(1, T + 1):
+                coeffs = _run_tail_coefficients(T, v)
+                for p in (0.1, 0.37, 0.5, 0.93):
+                    pf = Fraction(p)
+                    got = sum(ck * pf**k for k, ck in enumerate(coeffs))
+                    assert got == enumerate_run_tail(T, v, pf), (T, v, p)
 
 
 class TestBinomialTail:
@@ -289,6 +312,41 @@ class TestRestlessProbability:
         for q in (0.2, 0.7):
             val = prob_block_controllable_restless(20, 4, q, ppp, params, Protocol.BLOCK)
             assert 0.0 <= val <= q + 1e-12
+
+
+def restless_term_expansion(T, v, q, ppp, channel, protocol):
+    """The restless value as the de Moivre sum expanded term by term in
+    (l, e), each term carrying its own moment, with q up front for block."""
+    zeta = functools.lru_cache(None)(
+        lambda order: moment_zeta(order, q, ppp, channel, protocol))
+    terms = []
+    for l in range(1, (T + 1) // (v + 1) + 1):
+        sign = -1.0 if l % 2 == 0 else 1.0
+        outer = math.comb(T - l * v, l - 1)
+        for e in range(l):
+            terms.append(sign * outer * math.comb(l - 1, e) * (-1.0) ** e
+                         * zeta(l * v + 1 + e))
+        coef = (T - l * v + 1) / l
+        for e in range(l + 1):
+            terms.append(sign * outer * coef * math.comb(l, e) * (-1.0) ** e
+                         * zeta(l * v + e))
+    return (q if protocol is Protocol.BLOCK else 1.0) * math.fsum(terms)
+
+
+class TestRestlessAgainstTermExpansion:
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_preset_points(self, preset, protocol):
+        c = load_config(preset)
+        for q in c.q_values:
+            got = prob_block_controllable_restless(c.T, c.v, q, c.ppp, c.channel, protocol)
+            want = restless_term_expansion(c.T, c.v, q, c.ppp, c.channel, protocol)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (preset, protocol, q)
+
+    def test_fig2_long_block_still_cancels(self):
+        c = load_config("fig2")
+        with pytest.raises(QuadratureError, match="alternating-sum cancellation"):
+            prob_block_controllable_restless(200, 5, 0.5, c.ppp, c.channel, Protocol.BLOCK)
 
 
 class TestNumericalFailureContract:
