@@ -48,6 +48,7 @@ from .geometry import (
 from .montecarlo import (
     ExperimentConfig,
     SweepResult,
+    analytic_points,
     compare_analytic_empirical,
     estimate_block_controllability,
     estimate_meta_empirical,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -269,10 +270,14 @@ def prob_block_controllable_restless(
     With the access rule (a, c) of `_access`, this is a E[runtail(T, v, c P)]
     = a sum_k c_k zeta_k: the exact integer de Moivre coefficients c_k of
     `_run_tail_coefficients` applied to the moments zeta_k of `moment_zeta`.
-    Raises `QuadratureError` when the alternating sum cancels to below 1e-6
-    of its largest term.
+    Raises `QuadratureError` when the coefficients pass the float range, or
+    when the alternating sum cancels to below 1e-6 of its largest term.
     """
     coeffs = _run_tail_coefficients(T, v)
+    largest_coeff = max(map(abs, coeffs))
+    if largest_coeff * len(coeffs) > sys.float_info.max:  # their float sum would overflow
+        raise QuadratureError(f"de Moivre coefficients of {largest_coeff.bit_length()} bits "
+                              "are past the float range", math.inf)
     a, _ = _access(q, protocol)
     terms = [ck * moment_zeta(k, q, ppp, channel, protocol)
              for k, ck in enumerate(coeffs) if ck]

@@ -19,9 +19,9 @@ from .bandit import run_ts
 from .config import emit_results, load_config
 from .geometry import sample_ppp
 from .montecarlo import (
+    analytic_points,
     compare_analytic_empirical,
     estimate_block_controllability,
-    estimate_meta_empirical,
     run_regret_study,
 )
 from .selftest import run_selftest
@@ -42,7 +42,7 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(config, args) -> dict[str, str]:
+def _cmd_simulate(config) -> dict[str, str]:
     results = estimate_block_controllability(config)
     rows = [
         [r.protocol.value, r.system, r.q, r.estimate, r.half_width_95]
@@ -51,26 +51,14 @@ def _cmd_simulate(config, args) -> dict[str, str]:
     return {"sweep.csv": _csv(["protocol", "system", "q", "estimate", "ci95"], rows)}
 
 
-def _cmd_analytic(config, args) -> dict[str, str]:
+def _cmd_analytic(config) -> dict[str, str]:
     lam = config.ppp.intensity_lambda
-    rows = []
-    for protocol in config.protocols:
-        for q in config.q_values:
-            value = analytics.prob_block_controllable_restless(
-                config.T, config.v, q, config.ppp, config.channel, protocol
-            )
-            rows.append([protocol.value, q, lam, config.T, config.v, None, value])
-        for beta in config.beta_values:
-            for q in config.q_values:
-                query = analytics.MetaQuery(config.v, beta, config.T, q, config.channel)
-                value = analytics.meta_distribution_rested(query, config.ppp, protocol)
-                rows.append([protocol.value, q, lam, config.T, config.v, beta, value])
-    return {"analytic.csv": _csv(
-        ["protocol", "q", "lambda", "T", "v", "beta", "value"], rows
-    )}
+    rows = [[protocol.value, q, lam, config.T, config.v, beta, value]
+            for protocol, _, q, beta, value in analytic_points(config)]
+    return {"analytic.csv": _csv(["protocol", "q", "lambda", "T", "v", "beta", "value"], rows)}
 
 
-def _cmd_ts(config, args) -> dict[str, str]:
+def _cmd_ts(config) -> dict[str, str]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     realization = sample_ppp(config.ppp, rng)
     protocol = config.protocols[0]
@@ -99,46 +87,20 @@ def _cmd_ts(config, args) -> dict[str, str]:
     return artifacts
 
 
-def _cmd_compare(config, args) -> dict[str, str]:
+def _cmd_compare(config) -> dict[str, str]:
+    header = ["protocol", "system", "q", "empirical", "analytic", "abs_diff", "passes"]
+    rows = [[r.protocol.value, r.system, r.q, r.empirical, r.analytic, r.abs_diff,
+             int(r.passes), r.beta] for r in compare_analytic_empirical(config)]
     artifacts = {}
     if "restless" in config.systems:
-        rows = [
-            [r.protocol.value, r.system, r.q, r.empirical, r.analytic, r.abs_diff,
-             int(r.passes)]
-            for r in compare_analytic_empirical(config)
-        ]
-        artifacts["compare.csv"] = _csv(
-            ["protocol", "system", "q", "empirical", "analytic", "abs_diff", "passes"],
-            rows,
-        )
-    if "rested" in config.systems and config.beta_values:
-        rows = []
-        root = np.random.SeedSequence(config.seed)
-        seeds = root.spawn(len(config.protocols) * len(config.beta_values) * len(config.q_values))
-        i = 0
-        for protocol in config.protocols:
-            for beta in config.beta_values:
-                for q in config.q_values:
-                    query = analytics.MetaQuery(config.v, beta, config.T, q, config.channel)
-                    analytic = analytics.meta_distribution_rested(query, config.ppp, protocol)
-                    empirical = estimate_meta_empirical(
-                        config, protocol, q, beta, seed_seq=seeds[i]
-                    )
-                    diff = abs(analytic - empirical)
-                    rows.append([
-                        protocol.value, "rested", q, empirical, analytic, diff,
-                        int(diff <= 0.02), beta,
-                    ])
-                    i += 1
-        artifacts["compare_meta.csv"] = _csv(
-            ["protocol", "system", "q", "empirical", "analytic", "abs_diff",
-             "passes", "beta"],
-            rows,
-        )
+        artifacts["compare.csv"] = _csv(header, [row[:-1] for row in rows if row[-1] is None])
+    meta = [row for row in rows if row[-1] is not None]
+    if meta:
+        artifacts["compare_meta.csv"] = _csv(header + ["beta"], meta)
     return artifacts
 
 
-def _cmd_regret(config, args) -> dict[str, str]:
+def _cmd_regret(config) -> dict[str, str]:
     study = run_regret_study(config)
     rows = [
         [k + 1, float(study.mean_cumulative[k]), float(study.envelope[k])]
@@ -148,14 +110,15 @@ def _cmd_regret(config, args) -> dict[str, str]:
 
 
 def _check_command(command: str, config) -> None:
-    """Reject a config the command would run only in part, or could not compare."""
+    """Reject a config the command would run only in part, or not as asked."""
     if command in ("ts", "regret") and len(config.protocols) > 1:
         raise ValueError(f"config key 'protocol': {command} runs block or classical, not both")
     if command == "compare" and config.fixed_geometry:
         raise ValueError("config key 'fixed_geometry': compare checks network averages, "
                          "which need a new geometry per block")
-    if command == "compare" and config.systems == ("rested",) and not config.beta_values:
-        raise ValueError("config key 'beta_values': the rested comparison needs a target")
+    if (command in ("analytic", "compare") and config.systems == ("rested",)
+            and not config.beta_values):
+        raise ValueError("config key 'beta_values': the rested values need a target")
 
 
 _COMMANDS = {
@@ -209,7 +172,7 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        artifacts = _COMMANDS[args.command](config, args)
+        artifacts = _COMMANDS[args.command](config)
     except analytics.QuadratureError as exc:
         print(f"error: {exc} (error estimate {exc.error_estimate:.3e})", file=sys.stderr)
         return 4

@@ -1,6 +1,10 @@
 """Experiment orchestration: controllability sweeps, analytic-vs-empirical
 comparison and regret studies.
 
+`analytic_points` is the one list of analytic values that `systems` selects
+(restless block controllability, rested meta distribution per beta), and
+`compare_analytic_empirical` holds both pass rules against the simulator.
+
 Simulation is acknowledgment-level by default. Per chunk of blocks the
 geometries are drawn and their interferers' `channel.suppression_factors`
 computed once (a fixed geometry's once per run, then repeated);
@@ -46,6 +50,7 @@ __all__ = [
     "RegretStudyResult",
     "simulate_ack_blocks",
     "estimate_block_controllability",
+    "analytic_points",
     "compare_analytic_empirical",
     "estimate_meta_empirical",
     "run_regret_study",
@@ -93,6 +98,8 @@ class ExperimentConfig:
         if self.v > self.T:
             raise ValueError("v must not exceed T")
         for name in ("q_values", "arms"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
             for q in getattr(self, name):
                 if not 0.0 < q <= 1.0:
                     raise ValueError(f"{name} value {q} outside (0, 1]")
@@ -122,6 +129,7 @@ class CompareRow:
     analytic: float
     abs_diff: float
     passes: bool
+    beta: Optional[float]
 
 
 @dataclass
@@ -260,21 +268,43 @@ def _state_level_flags(config, protocol, q, seed_seq, realization=None):
     return out
 
 
+def analytic_points(config: ExperimentConfig):
+    """Yield (protocol, system, q, beta, value) per protocol: the restless
+    value at each q (beta None) if "restless" is in `systems`, then the meta
+    distribution at each (beta, q) if "rested" is."""
+    for protocol in config.protocols:
+        if "restless" in config.systems:
+            for q in config.q_values:
+                yield protocol, "restless", q, None, analytics.prob_block_controllable_restless(
+                    config.T, config.v, q, config.ppp, config.channel, protocol)
+        if "rested" in config.systems:
+            for beta in config.beta_values:
+                for q in config.q_values:
+                    query = analytics.MetaQuery(config.v, beta, config.T, q, config.channel)
+                    yield protocol, "rested", q, beta, analytics.meta_distribution_rested(
+                        query, config.ppp, protocol)
+
+
 def compare_analytic_empirical(config: ExperimentConfig) -> list[CompareRow]:
-    """Empirical restless controllability vs the analytic value per (protocol, q);
-    passes iff |diff| <= max(0.02, 3 * half-width)."""
-    sweep = estimate_block_controllability(
-        replace(config, systems=("restless",))
-    )
+    """Each of the `analytic_points` against the simulator. Restless rows take
+    one restless-only `estimate_block_controllability` sweep and pass iff
+    |diff| <= max(0.02, 3 * half-width); rested row i (protocol x beta x q
+    order) takes `estimate_meta_empirical` on seed child i, passes iff |diff| <= 0.02."""
+    sweep = iter(estimate_block_controllability(replace(config, systems=("restless",)))
+                 if "restless" in config.systems else ())
+    seeds = iter(np.random.SeedSequence(config.seed).spawn(
+        len(config.protocols) * len(config.beta_values) * len(config.q_values)))
     rows = []
-    for res in sweep:
-        analytic = analytics.prob_block_controllable_restless(
-            config.T, config.v, res.q, config.ppp, config.channel, res.protocol)
-        diff = abs(res.estimate - analytic)
-        rows.append(CompareRow(
-            res.protocol, res.system, res.q, res.estimate, analytic, diff,
-            diff <= max(0.02, 3.0 * res.half_width_95),
-        ))
+    for protocol, system, q, beta, analytic in analytic_points(config):
+        if beta is None:
+            res = next(sweep)
+            empirical, tolerance = res.estimate, max(0.02, 3.0 * res.half_width_95)
+        else:
+            empirical, tolerance = estimate_meta_empirical(
+                config, protocol, q, beta, seed_seq=next(seeds)), 0.02
+        diff = abs(empirical - analytic)
+        rows.append(CompareRow(protocol, system, q, empirical, analytic, diff,
+                               diff <= tolerance, beta))
     return rows
 
 

@@ -112,8 +112,10 @@ BAD_VALUES = [
     ("q", {"q": 0}),
     ("q_values", {"q_values": [0.5, 1.2]}),
     ("q_values", {"q_values": [[0.5]]}),
+    ("q_values", {"q_values": []}),
     ("arms", {"arms": [0, 0.5]}),
     ("arms", {"arms": [0.5, "a"]}),
+    ("arms", {"arms": []}),
     ("beta_values", {"beta_values": [1.0]}),
     ("process_noise_std", {"process_noise_std": -0.1}),
     ("state_level", {"state_level": 1}),
@@ -143,6 +145,7 @@ UNRUNNABLE = [
     ("regret", "fig5", "protocol=both", "protocol"),
     ("compare", "fig2", "fixed_geometry=true", "fixed_geometry"),
     ("compare", "fig2", "system=rested", "beta_values"),
+    ("analytic", "fig4", "beta_values=[]", "beta_values"),
 ]
 
 
@@ -269,20 +272,20 @@ class TestCliEndToEnd:
         assert posteriors["snapshots"][0]["block"] == 100
 
     def test_analytic_outputs(self, tmp_path):
-        out = tmp_path / "an"
-        code = self.run_cli(
-            "analytic", "--config", "fig4", "--out", str(out),
-            "--set", "q_values=[0.5, 0.9]",
-        )
-        assert code == 0
-        lines = (out / "analytic.csv").read_text().splitlines()
-        assert lines[0] == "protocol,q,lambda,T,v,beta,value"
-        # 2 controllability rows + 2 meta rows at beta=0.9
-        assert len(lines) == 5
-        meta_rows = [l for l in lines[1:] if l.split(",")[5] == "0.9"]
-        assert len(meta_rows) == 2
-        values = [float(l.split(",")[6]) for l in lines[1:]]
-        assert all(0.0 <= v <= 1.0 for v in values)
+        # rows follow `system`: fig4 is rested, so only its beta = 0.9 rows
+        for system, restless_rows in (("rested", 0), ("both", 2)):
+            out = tmp_path / system
+            code = self.run_cli(
+                "analytic", "--config", "fig4", "--out", str(out),
+                "--set", "q_values=[0.5, 0.9]", "--set", f"system={system}",
+            )
+            assert code == 0
+            lines = (out / "analytic.csv").read_text().splitlines()
+            assert lines[0] == "protocol,q,lambda,T,v,beta,value"
+            betas = [l.split(",")[5] for l in lines[1:]]
+            assert betas == [""] * restless_rows + ["0.9"] * 2
+            values = [float(l.split(",")[6]) for l in lines[1:]]
+            assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_regret_outputs(self, tmp_path):
         out = tmp_path / "regret"
@@ -320,18 +323,19 @@ class TestCliEndToEnd:
         assert self.run_cli("selftest") == 0
 
     def test_quadrature_error_is_one_line_and_exit_four(self, tmp_path, capsys):
-        # the restless moment expansion cancels by ~1e9 at T = 200, v = 5
-        out = tmp_path / "an"
-        code = self.run_cli(
-            "analytic", "--config", "fig2", "--out", str(out),
-            "--set", "T=200", "--set", "v=5", "--set", "q=0.5",
-        )
-        assert code == 4
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1, err
-        assert re.fullmatch(r"error: alternating-sum cancellation .* \(error estimate \S+\)",
-                            err[0]), err[0]
-        assert not out.exists()
+        # the restless moment expansion cancels by ~1e9 at T = 200, v = 5, and
+        # at T = 1100, v = 1 its de Moivre coefficients pass the float range
+        for settings, message in ((["T=200", "v=5"], "alternating-sum cancellation"),
+                                  (["T=1100", "v=1"], "de Moivre coefficients")):
+            out = tmp_path / "an"
+            overrides = [a for s in [*settings, "q=0.5"] for a in ("--set", s)]
+            code = self.run_cli("analytic", "--config", "fig2", "--out", str(out), *overrides)
+            assert code == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1, err
+            assert re.fullmatch(rf"error: {message} .* \(error estimate \S+\)",
+                                err[0]), err[0]
+            assert not out.exists()
 
 
 def test_cli_runs_without_importing_scipy(tmp_path):

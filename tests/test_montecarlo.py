@@ -265,6 +265,20 @@ class TestCompare:
         rows = compare_analytic_empirical(cfg)
         assert rows and all(r.passes for r in rows)
 
+    def test_both_systems_keep_restless_rows_and_meta_child_seeds(self):
+        cfg = small_config(q_values=(0.4, 0.9), beta_values=(0.3, 0.6), num_realizations=2000)
+        rows = compare_analytic_empirical(cfg)
+        assert [r for r in rows if r.beta is None] == compare_analytic_empirical(
+            replace(cfg, systems=("restless",)))
+        rested = [r for r in rows if r.beta is not None]
+        assert [(r.protocol, r.beta, r.q) for r in rested] == [
+            (p, b, q) for p in cfg.protocols for b in cfg.beta_values for q in cfg.q_values]
+        seeds = np.random.SeedSequence(cfg.seed).spawn(len(rested))
+        for r, seed in zip(rested, seeds):
+            assert r.system == "rested"
+            assert r.empirical == estimate_meta_empirical(cfg, r.protocol, r.q, r.beta,
+                                                          seed_seq=seed)
+
 
 class TestMetaEmpirical:
     def test_block_unreachable_beta_zero(self):
