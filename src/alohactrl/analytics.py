@@ -26,6 +26,7 @@ al., Springer 1983) over a vectorized integrand.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
@@ -106,6 +107,15 @@ def _run_tail_coefficients(T: int, v: int) -> tuple[int, ...]:
         for e in range(l + 1):  # p^(lv) (1-p)^l
             c[l * v + e] += sign * (-1) ** e * math.comb(l, e) * with_not_p
     return tuple(c[:T + 1])
+
+
+def _run_tail_at_minus_one(T: int, v: int) -> int:
+    """sum_k c_k (-1)^k of `_run_tail_coefficients` in O(T) integer steps: at success weight
+    s = -1, failure weight f = 2, run-free strings weigh N_t = N_(t-1) - f s^v N_(t-v-1)."""
+    free = collections.deque([1] * v + [1 - (-1) ** v], maxlen=v + 1)
+    for _ in range(v, T):
+        free.append(free[-1] - 2 * (-1) ** v * free[0])
+    return 1 - free[-1]
 
 
 def run_ccdf_demoivre(T: int, v: int, p: float) -> float:
@@ -273,6 +283,9 @@ def prob_block_controllable_restless(
     Raises `QuadratureError` when the coefficients pass the float range, or
     when the alternating sum cancels to below 1e-6 of its largest term.
     """
+    if abs(at_minus_one := _run_tail_at_minus_one(T, v)) > sys.float_info.max:  # <= sum |c_k|
+        raise QuadratureError(f"de Moivre coefficients past the float range: |P(-1)| has "
+                              f"{at_minus_one.bit_length()} bits", math.inf)
     coeffs = _run_tail_coefficients(T, v)
     largest_coeff = max(map(abs, coeffs))
     if largest_coeff * len(coeffs) > sys.float_info.max:  # their float sum would overflow

@@ -224,11 +224,8 @@ def resolved_config_text(config: ExperimentConfig) -> str:
         f"lambda = {config.ppp.intensity_lambda!r}",
         f"r0 = {config.ppp.typical_distance_r0!r}",
         f"window_radius = {config.ppp.window_radius_R!r}",
-        f"tx_power_w = {config.channel.tx_power_eta!r}",
-        f"rho = {config.channel.pathloss_const_rho!r}",
-        f"alpha = {config.channel.pathloss_exp_alpha!r}",
-        f"noise_power_w = {config.channel.noise_power_N0!r}",
-        f"gamma = {config.channel.sinr_threshold_gamma!r}",
+        # the first key of each channel field is its linear SI key
+        *(f"{keys[0]} = {getattr(config.channel, f)!r}" for f, keys in _CHANNEL_KEYS.items()),
     ]
     for key, (field, options) in _CHOICES.items():
         value = getattr(config, field)

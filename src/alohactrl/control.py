@@ -184,20 +184,14 @@ def propagate(sys: LtiSystem, x, u, rng: Optional[np.random.Generator] = None) -
 
 
 def longest_runs(acks) -> np.ndarray:
-    """Longest run of nonzero entries in each row of an acknowledgment array.
-
-    A 1-D sequence counts as one row. Each row is padded with a zero on both
-    sides, so in the flattened array the nonzero steps alternate between run
-    starts and run ends and no run crosses a row.
-    """
+    """Longest run of nonzero entries in each row of an acknowledgment array
+    (a 1-D sequence is one row), in one scan over the columns: each row's
+    current run grows by one on a hit and drops to 0 on a miss."""
     hit = np.atleast_2d(np.asarray(acks) != 0)
-    rows, width = hit.shape[0], hit.shape[1] + 2
-    padded = np.zeros((rows, width), dtype=np.int8)
-    padded[:, 1:-1] = hit
-    edges = np.flatnonzero(np.diff(padded.ravel()))
-    starts, ends = edges[::2], edges[1::2]
-    best = np.zeros(rows, dtype=np.int64)
-    np.maximum.at(best, starts // width, ends - starts)
+    run, best = np.zeros((2, hit.shape[0]), dtype=np.int64)
+    for column in hit.T:
+        run = (run + 1) * column
+        np.maximum(best, run, out=best)
     return best
 
 

@@ -2,7 +2,8 @@
 
 Interferer positions follow a homogeneous Poisson point process on a finite
 disk window centered at the typical receiver; only point distances are kept,
-since every downstream statistic depends on distances alone.
+since every downstream statistic depends on distances alone. `sample_blocks`
+is the one sampler; `sample_ppp` is its one-window case.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ __all__ = [
     "PppConfig",
     "NetworkRealization",
     "default_window_radius",
+    "sample_blocks",
     "sample_ppp",
 ]
 
@@ -86,16 +88,17 @@ class NetworkRealization:
         return int(self.interferer_distances.size)
 
 
+def sample_blocks(config: PppConfig, n_blocks: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, distances) of n_blocks independent windows: Poisson counts, then
+    R*sqrt(U) per interferer (density 2z/R^2 on (0, R]), concatenated block by
+    block; a zero draw is lifted to the smallest positive float (support open at 0)."""
+    counts = rng.poisson(config.mean_count, n_blocks)
+    distances = config.window_radius_R * np.sqrt(rng.random(int(counts.sum())))
+    np.maximum(distances, np.finfo(float).tiny, out=distances)
+    return counts, distances
+
+
 def sample_ppp(config: PppConfig, rng: np.random.Generator) -> NetworkRealization:
-    """Draw one realization: Poisson count, uniform placement in the disk.
-
-    Uniform placement in a disk of radius R gives distance density 2z/R^2 on
-    (0, R], sampled by inverse transform as R*sqrt(U).
-    """
-    n = int(rng.poisson(config.mean_count))
-    distances = config.window_radius_R * np.sqrt(rng.random(n))
-    # guard against an exactly-zero uniform draw (distance support is open at 0)
-    if n:
-        np.maximum(distances, np.finfo(float).tiny, out=distances)
-    return NetworkRealization(distances, config.typical_distance_r0)
-
+    """Draw one realization: the one-block case of `sample_blocks`."""
+    return NetworkRealization(sample_blocks(config, 1, rng)[1], config.typical_distance_r0)

@@ -16,14 +16,15 @@ state recursion cannot influence the successes, so restless (consecutive)
 and rested (total) controllability flags are computed directly from the
 sequences. A state-level mode, for validation, feeds the same acknowledgment
 stream through the full controller/actuator loops: one batched slot loop per
-discipline (`control.run_block_restless`, `control.run_block_rested`) on
-chunks of blocks.
+discipline (`control.run_block_restless`, `control.run_block_rested`) per
+chunk of blocks.
 
-Determinism: work is split into fixed-size chunks, each with its own child
-seed sequence; results reduce in chunk order, so outputs are byte-identical
-for any worker count. A regret study samples each realization from its own
-child seed and runs Thompson sampling on all of them as one lockstep loop
-(`bandit.run_ts`), which uses no worker threads.
+Determinism: every fresh-geometry estimate follows one chunk rule,
+`_each_chunk`: chunk i draws from child i of the point's seed sequence, and
+results reduce in chunk order, so outputs are byte-identical for any worker
+count. A regret study samples each realization from its own child seed and
+runs Thompson sampling on all of them as one lockstep loop (`bandit.run_ts`),
+which uses no worker threads.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +43,7 @@ from .aloha import Protocol
 from .bandit import regret_envelope_explicit, run_ts
 from .channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 from .control import LtiSystem, longest_runs, run_block_rested, run_block_restless
-from .geometry import NetworkRealization, PppConfig, sample_ppp
+from .geometry import NetworkRealization, PppConfig, sample_blocks, sample_ppp
 
 __all__ = [
     "ExperimentConfig",
@@ -141,20 +143,46 @@ class RegretStudyResult:
 def _chunk_success_prob(ppp: PppConfig, channel: ChannelParams, protocol: Protocol, q: float,
                         n_blocks: int, rng: np.random.Generator,
                         fixed_factors: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-slot success probability of n_blocks blocks: fresh Poisson
-    geometries, whose factors are computed once (their distances die with
-    that call), or one realization's `fixed_factors` repeated."""
+    """Per-slot success probability of n_blocks blocks: fresh `sample_blocks`
+    geometries, whose factors are computed once (their distances freed before
+    the kernel), or one realization's `fixed_factors` repeated."""
     if fixed_factors is None:
-        counts = rng.poisson(ppp.mean_count, n_blocks)
-        factors = suppression_factors(
-            ppp.window_radius_R * np.sqrt(rng.random(int(counts.sum()))),
-            ppp.typical_distance_r0, channel)
+        counts, distances = sample_blocks(ppp, n_blocks, rng)
+        factors = suppression_factors(distances, ppp.typical_distance_r0, channel)
+        del distances
     else:
         counts = np.full(n_blocks, fixed_factors.size)
         factors = np.tile(fixed_factors, n_blocks)
     return block_success_prob(factors, block_owner(counts), n_blocks,
                               channel.noise_success_factor(ppp.typical_distance_r0),
                               protocol, q, rng)
+
+
+def _chunk_acks(ppp: PppConfig, channel: ChannelParams, protocol: Protocol, q: float, T: int,
+                n_blocks: int, rng: np.random.Generator,
+                fixed_factors: Optional[np.ndarray] = None) -> np.ndarray:
+    """Success sequences (n_blocks, T) of one chunk: success probability, then
+    the typical pair's access, then the Bernoulli slots, all from rng."""
+    p = _chunk_success_prob(ppp, channel, protocol, q, n_blocks, rng, fixed_factors)
+    access = rng.random((n_blocks, 1 if protocol is Protocol.BLOCK else T)) < q
+    return (rng.random((n_blocks, T)) < access * p[:, None]).astype(np.uint8)
+
+
+def _each_chunk(n_blocks: int, seed_seq: np.random.SeedSequence, threads: int, work) -> list:
+    """[work(size, rng) per chunk] in chunk order: chunk i holds blocks
+    [CHUNK_BLOCKS * i, ...) and draws from a Generator on child i of
+    seed_seq, so the results do not depend on `threads`."""
+    firsts = range(0, n_blocks, CHUNK_BLOCKS)
+    seeds = seed_seq.spawn(len(firsts))
+
+    def one(first, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return work(min(CHUNK_BLOCKS, n_blocks - first), rng)
+
+    if threads > 1 and len(firsts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, firsts, seeds))
+    return list(map(one, firsts, seeds))
 
 
 def simulate_ack_blocks(
@@ -169,26 +197,10 @@ def simulate_ack_blocks(
     threads: int = 1,
 ) -> np.ndarray:
     """Deterministic chunked simulation of n_blocks success sequences."""
-    protocol = Protocol(protocol)
-    n_chunks = (n_blocks + CHUNK_BLOCKS - 1) // CHUNK_BLOCKS
-    seeds = seed_seq.spawn(n_chunks)
-    sizes = [min(CHUNK_BLOCKS, n_blocks - i * CHUNK_BLOCKS) for i in range(n_chunks)]
     fixed = None if realization is None else suppression_factors(
         realization.interferer_distances, ppp.typical_distance_r0, channel)
-
-    def work(i):
-        """Success sequences of chunk i, shape (sizes[i], T)."""
-        rng = np.random.Generator(np.random.PCG64(seeds[i]))
-        p = _chunk_success_prob(ppp, channel, protocol, q, sizes[i], rng, fixed)
-        access = rng.random((sizes[i], 1 if protocol is Protocol.BLOCK else T)) < q
-        return (rng.random((sizes[i], T)) < access * p[:, None]).astype(np.uint8)
-
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, range(n_chunks)))
-    else:
-        parts = [work(i) for i in range(n_chunks)]
-    return np.concatenate(parts, axis=0)
+    work = partial(_chunk_acks, ppp, channel, Protocol(protocol), q, T, fixed_factors=fixed)
+    return np.concatenate(_each_chunk(n_blocks, seed_seq, threads, work), axis=0)
 
 
 def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult]:
@@ -198,37 +210,41 @@ def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult
     geometry each block (set fixed_geometry for a conditional study on one
     realization). Idle typical blocks count in the denominator. Restless
     (run-based) and rested (total-based) flags are evaluated on the same
-    simulated sequences.
+    simulated sequences and counted per chunk; with state_level the loops
+    flag them, from start states x_des + N(0, I) drawn after the chunk's acks.
     """
     root = np.random.SeedSequence(config.seed)
     combo_seeds = root.spawn(len(config.protocols) * len(config.q_values) + 1)
     fixed = None
     if config.fixed_geometry:
-        rng = np.random.Generator(np.random.PCG64(combo_seeds[-1]))
-        fixed = sample_ppp(config.ppp, rng)
+        real = sample_ppp(config.ppp, np.random.Generator(np.random.PCG64(combo_seeds[-1])))
+        fixed = suppression_factors(real.interferer_distances, config.ppp.typical_distance_r0,
+                                    config.channel)
+    plant = (config.plant or default_system_for(config.v, config.process_noise_std)
+             if config.state_level else None)
+    runners = {"restless": run_block_restless, "rested": run_block_rested}
+    n, v = config.num_realizations, config.v
+
+    def chunk_hits(protocol, q, size, rng):
+        """Controllable blocks of one chunk, per system."""
+        acks = _chunk_acks(config.ppp, config.channel, protocol, q, config.T, size, rng, fixed)
+        if plant is None:
+            flags = {"restless": longest_runs(acks) >= v, "rested": acks.sum(axis=1) >= v}
+        else:
+            x0 = plant.x_des + rng.normal(0.0, 1.0, (size, plant.n))
+            flags = {s: runners[s](plant, acks, x0, rng).block_controllable
+                     for s in config.systems}
+        return [int(np.count_nonzero(flags[system])) for system in config.systems]
 
     results: list[SweepResult] = []
-    idx = 0
+    seeds = iter(combo_seeds)
     for protocol in config.protocols:
         for q in config.q_values:
-            if config.state_level:
-                flags = _state_level_flags(config, protocol, q, combo_seeds[idx], fixed)
-            else:
-                acks = simulate_ack_blocks(
-                    config.ppp, config.channel, protocol, q, config.T,
-                    config.num_realizations, combo_seeds[idx],
-                    realization=fixed, threads=config.threads,
-                )
-                flags = {"restless": longest_runs(acks) >= config.v,
-                         "rested": acks.sum(axis=1) >= config.v}
-            n = config.num_realizations
-            for system in config.systems:
-                p_hat = float(np.mean(flags[system]))
-                results.append(SweepResult(
-                    protocol, system, q, p_hat,
-                    1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n),
-                ))
-            idx += 1
+            chunks = _each_chunk(n, next(seeds), config.threads, partial(chunk_hits, protocol, q))
+            for system, hits in zip(config.systems, map(sum, zip(*chunks))):
+                p_hat = hits / n
+                results.append(SweepResult(protocol, system, q, p_hat,
+                                           1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)))
     return results
 
 
@@ -239,33 +255,6 @@ def default_system_for(v: int, process_noise_std: float = 0.0) -> LtiSystem:
     B = np.eye(v)
     x_des = np.ones(v)
     return LtiSystem(A, B, x_des, v=v, process_noise_std=process_noise_std)
-
-
-def _state_level_flags(config, protocol, q, seed_seq, realization=None):
-    """Validation path: run the controller/actuator loops on the ack stream.
-
-    The acknowledgments are the ack-level ones (`simulate_ack_blocks` on the
-    point's seed), so the flags equal the ack-level flags. Start states
-    x0 = x_des + N(0, I) and any process noise come from one further child
-    of the seed. Both disciplines run on the same acknowledgments, as one
-    batched loop each per chunk of CHUNK_BLOCKS blocks, which bounds the
-    memory of the state traces.
-    """
-    sys = config.plant if config.plant is not None else default_system_for(
-        config.v, config.process_noise_std)
-    n = config.num_realizations
-    acks = simulate_ack_blocks(config.ppp, config.channel, protocol, q, config.T, n,
-                               seed_seq, realization=realization, threads=config.threads)
-    # spawned after the ack chunks' children, so it is the next child in line
-    rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
-    runners = {"restless": run_block_restless, "rested": run_block_rested}
-    out = {system: np.zeros(n, bool) for system in config.systems}
-    for first in range(0, n, CHUNK_BLOCKS):
-        rows = slice(first, min(first + CHUNK_BLOCKS, n))
-        x0 = sys.x_des + rng.normal(0.0, 1.0, (rows.stop - first, sys.n))
-        for system in config.systems:
-            out[system][rows] = runners[system](sys, acks[rows], x0, rng).block_controllable
-    return out
 
 
 def analytic_points(config: ExperimentConfig):
@@ -321,15 +310,14 @@ def estimate_meta_empirical(
     pstar = analytics.inverse_tail_threshold(config.T, config.v, q, beta, protocol)
     if pstar is None:
         return 0.0
-    seed_seq = seed_seq or np.random.SeedSequence(config.seed)
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    hits = 0
+
+    def chunk_hits(size, rng):
+        p = _chunk_success_prob(config.ppp, config.channel, protocol, q, size, rng)
+        return int(np.count_nonzero(p >= pstar))
+
     n = config.num_realizations
-    for first in range(0, n, CHUNK_BLOCKS):
-        p = _chunk_success_prob(config.ppp, config.channel, protocol, q,
-                                min(CHUNK_BLOCKS, n - first), rng)
-        hits += int(np.count_nonzero(p >= pstar))
-    return hits / n
+    return sum(_each_chunk(n, seed_seq or np.random.SeedSequence(config.seed),
+                           config.threads, chunk_hits)) / n
 
 
 def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alohactrl import analytics
 from alohactrl.aloha import Protocol
 from alohactrl.cli import main
 from alohactrl.config import (
@@ -258,6 +259,12 @@ class TestCliEndToEnd:
         a = (tmp_path / "a" / "sweep.csv").read_bytes()
         b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert a == b
+        # each rested meta point of fig4 spans 3 chunks
+        common = ["--config", "fig4", "--set", "num_realizations=9000"]
+        self.run_cli("compare", *common, "--out", str(tmp_path / "c"), "--threads", "1")
+        self.run_cli("compare", *common, "--out", str(tmp_path / "d"), "--threads", "2")
+        assert (tmp_path / "c" / "compare_meta.csv").read_bytes() == \
+            (tmp_path / "d" / "compare_meta.csv").read_bytes()
 
     def test_ts_outputs(self, tmp_path):
         out = tmp_path / "ts"
@@ -324,13 +331,17 @@ class TestCliEndToEnd:
 
     def test_quadrature_error_is_one_line_and_exit_four(self, tmp_path, capsys):
         # the restless moment expansion cancels by ~1e9 at T = 200, v = 5, and
-        # at T = 1100, v = 1 its de Moivre coefficients pass the float range
+        # at T = 1100, v = 1 its de Moivre coefficients pass the float range,
+        # which is seen from P(-1) before they are built
         for settings, message in ((["T=200", "v=5"], "alternating-sum cancellation"),
                                   (["T=1100", "v=1"], "de Moivre coefficients")):
             out = tmp_path / "an"
             overrides = [a for s in [*settings, "q=0.5"] for a in ("--set", s)]
+            built = analytics._run_tail_coefficients.cache_info()
             code = self.run_cli("analytic", "--config", "fig2", "--out", str(out), *overrides)
             assert code == 4
+            if "T=1100" in settings:
+                assert analytics._run_tail_coefficients.cache_info() == built
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1, err
             assert re.fullmatch(rf"error: {message} .* \(error estimate \S+\)",

@@ -8,6 +8,7 @@ from alohactrl.geometry import (
     NetworkRealization,
     PppConfig,
     default_window_radius,
+    sample_blocks,
     sample_ppp,
 )
 
@@ -99,6 +100,22 @@ class TestSamplePpp:
         a = sample_ppp(cfg, rng(42))
         b = sample_ppp(cfg, rng(42))
         assert np.array_equal(a.interferer_distances, b.interferer_distances)
+        # one realization is the one-block case of the block sampler
+        counts, distances = sample_blocks(cfg, 1, rng(42))
+        assert list(counts) == [a.num_interferers]
+        assert np.array_equal(distances, a.interferer_distances)
+
+    def test_zero_uniform_lifted_off_the_origin(self):
+        class ZeroUniforms:
+            def poisson(self, lam, size):
+                return np.array([2, 0, 1])[:size]
+
+            def random(self, size):
+                return np.zeros(size)
+
+        counts, distances = sample_blocks(PppConfig(5e-3, 100.0, 10.0), 3, ZeroUniforms())
+        assert list(counts) == [2, 0, 1]
+        assert np.array_equal(distances, np.full(3, np.finfo(float).tiny))
 
 
 class TestSerialization:

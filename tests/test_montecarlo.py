@@ -13,7 +13,7 @@ from alohactrl.config import load_config
 from alohactrl.channel import (
     ChannelParams, block_owner, block_success_prob, default_channel, suppression_factors,
 )
-from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
+from alohactrl.geometry import NetworkRealization, PppConfig, sample_blocks, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
     compare_analytic_empirical,
@@ -92,6 +92,20 @@ class TestSimulateAckBlocks:
                                       per_block)
             assert np.array_equal(got, want), protocol
             assert once.bit_generator.state == per_block.bit_generator.state
+
+    def test_fresh_blocks_draw_through_sample_blocks(self):
+        # fresh geometries come from the one PPP sampler, then the kernel
+        ppp = PppConfig(5e-4, 150.0, 10.0)
+        params = unit_params(alpha=2.0)
+        for protocol in Protocol:
+            chunk, direct = np.random.default_rng(4), np.random.default_rng(4)
+            got = _chunk_success_prob(ppp, params, protocol, 0.5, 50, chunk)
+            counts, distances = sample_blocks(ppp, 50, direct)
+            want = block_success_prob(suppression_factors(distances, 10.0, params),
+                                      block_owner(counts), 50,
+                                      params.noise_success_factor(10.0), protocol, 0.5, direct)
+            assert np.array_equal(got, want), protocol
+            assert chunk.bit_generator.state == direct.bit_generator.state
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_fixed_geometry_success_rate(self, protocol):
@@ -289,6 +303,11 @@ class TestMetaEmpirical:
         cfg = small_config(T=20, v=4, num_realizations=500)
         frac = estimate_meta_empirical(cfg, Protocol.CLASSICAL, 0.7, 0.7)
         assert 0.0 <= frac <= 1.0
+        # 9,000 realizations are 3 chunks, the same for any thread count
+        cfg = replace(cfg, num_realizations=9000)
+        fracs = [estimate_meta_empirical(replace(cfg, threads=t), Protocol.CLASSICAL, 0.7, 0.7)
+                 for t in (1, 3)]
+        assert fracs[0] == fracs[1] and 0.0 < fracs[0] < 1.0
 
 
 class TestRegretStudy:
