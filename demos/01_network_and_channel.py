@@ -1,7 +1,7 @@
 """Sample a Poisson network and check the conditional success probabilities.
 
 Walks through the basic objects: a disk-window Poisson realization around the
-typical pair and the closed-form success probabilities given the geometry,
+typical pair (the array of its interferer distances) and the closed-form success probabilities given the geometry,
 read off the success kernel `block_success_prob` (all interferers active vs
 per-slot Bernoulli thinning); the first is cross-checked against a quick
 Monte Carlo over Rayleigh-faded slots. The kernel takes the interferers'
@@ -24,16 +24,16 @@ channel = ChannelParams(
 )
 
 real = sample_ppp(ppp, rng)
-print(f"sampled {real.num_interferers} interferers in a {ppp.window_radius_R:.0f} m disk "
+r0 = ppp.typical_distance_r0
+print(f"sampled {real.size} interferers in a {ppp.window_radius_R:.0f} m disk "
       f"(expected {ppp.mean_count:.1f})")
-print(f"nearest interferer: {real.interferer_distances.min():.1f} m, "
-      f"typical link: {real.typical_distance_r0:.0f} m")
+print(f"nearest interferer: {real.min():.1f} m, typical link: {r0:.0f} m")
 
 
 # the realization's one block: its factors, their layout and the noise factor
-factors = suppression_factors(real.interferer_distances, real.typical_distance_r0, channel)
-owner = block_owner([real.num_interferers])
-noise = channel.noise_success_factor(real.typical_distance_r0)
+factors = suppression_factors(real, r0, channel)
+owner = block_owner([real.size])
+noise = channel.noise_success_factor(r0)
 
 
 def p_success(q):
@@ -48,9 +48,9 @@ print(f"\nP(success | all active)        = {p_blk:.4f}")
 
 # faded slots agree: unit-mean exponential powers, SINR threshold test
 n = 50_000
-signal = channel.rx_power_coeff(real.typical_distance_r0) * rng.exponential(1.0, n)
-gains = channel.rx_power_coeff(real.interferer_distances)
-interference = rng.exponential(1.0, (n, real.num_interferers)) @ gains
+signal = channel.rx_power_coeff(r0) * rng.exponential(1.0, n)
+gains = channel.rx_power_coeff(real)
+interference = rng.exponential(1.0, (n, real.size)) @ gains
 wins = np.count_nonzero(signal / (channel.noise_power_N0 + interference)
                         > channel.sinr_threshold_gamma)
 print(f"empirical over {n} faded slots  = {wins / n:.4f}")

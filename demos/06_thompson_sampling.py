@@ -19,20 +19,20 @@ from alohactrl.config import load_config
 
 config = load_config("fig3")
 rng = np.random.default_rng(7)
-realization = sample_ppp(config.ppp, rng)
-print(f"fixed realization with {realization.num_interferers} interferers, "
+realization = sample_ppp(config.ppp, rng)  # the interferer distances
+r0 = config.ppp.typical_distance_r0
+print(f"fixed realization with {realization.size} interferers, "
       f"arms {list(config.arms)}")
 
 trace, history = run_ts(
     [realization], config.arms, Protocol.BLOCK, config.channel,
-    config.T, config.K, rng,
+    config.T, config.K, rng, r0=r0,
 )
 
 # expected block reward T q P_cls(q) of each arm, from the realization's
 # suppression factors (computed once); the classical kernel draws nothing
-r0 = realization.typical_distance_r0
-factors = suppression_factors(realization.interferer_distances, r0, config.channel)
-owner = block_owner([realization.num_interferers])
+factors = suppression_factors(realization, r0, config.channel)
+owner = block_owner([realization.size])
 noise = config.channel.noise_success_factor(r0)
 mu = [config.T * a * block_success_prob(factors, owner, 1, noise, Protocol.CLASSICAL, a, rng)[0]
       for a in config.arms]

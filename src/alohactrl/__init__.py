@@ -40,7 +40,6 @@ from .control import (
     run_block_restless,
 )
 from .geometry import (
-    NetworkRealization,
     PppConfig,
     default_window_radius,
     sample_ppp,

@@ -249,7 +249,9 @@ def interference_log_integral(
         return 0.0
 
     def f(z):
-        return -np.expm1(order * np.log1p(-_base_loss(z, q, channel, r0, protocol))) * z
+        # a loss that rounds to 1 near z = 0 gives log 0 = -inf, whose limit is right
+        with np.errstate(divide="ignore"):
+            return -np.expm1(order * np.log1p(-_base_loss(z, q, channel, r0, protocol))) * z
 
     integral = _quad_checked(f, 0.0, ppp.window_radius_R)
     return -2.0 * math.pi * lam_eff * integral

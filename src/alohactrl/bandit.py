@@ -33,6 +33,7 @@ import numpy as np
 
 from .aloha import Protocol
 from .channel import ChannelParams, block_owner, block_success_prob, suppression_factors
+from .geometry import check_distances
 
 __all__ = [
     "RegretTrace",
@@ -91,33 +92,32 @@ def run_ts(
     K: int,
     rng: np.random.Generator,
     snapshot_every: int = 100,
+    *,
+    r0: float,
 ) -> tuple[RegretTrace, list[dict]]:
     """Run K blocks of Thompson sampling on each of R fixed realizations, in
     lockstep.
 
-    Each realization has its own posteriors. Every block updates the pulled
-    arm with the observed successes over T trials; an idle block contributes
-    0 successes over T trials, keeping the posterior consistent with the
-    q-weighted reward rate. The realizations must share the typical-link
-    length r0. Returns the regret trace (gaps against each realization's
-    oracle arm) and posterior snapshots, each an (R, D, 2) array of (a, b).
+    Each realization is a 1-D array of interferer distances, all with the
+    typical-link length r0, and has its own posteriors. Every block updates
+    the pulled arm with the observed successes over T trials; an idle block
+    contributes 0 successes over T trials, keeping the posterior consistent
+    with the q-weighted reward rate. Returns the regret trace (gaps against
+    each realization's oracle arm) and posterior snapshots, each an (R, D, 2)
+    array of (a, b).
     """
     if K < 1 or T < 1:
         raise ValueError("K and T must be >= 1")
     protocol = Protocol(protocol)
-    realizations = list(realizations)
+    realizations = [check_distances(d, r0) for d in realizations]
     if not realizations:
         raise ValueError("at least one realization is required")
-    r0 = realizations[0].typical_distance_r0
-    if any(r.typical_distance_r0 != r0 for r in realizations):
-        raise ValueError("realizations must share the typical-link length r0")
     arms = np.array([float(q) for q in arms])
     if not (arms.size and np.all((arms >= 0.0) & (arms <= 1.0))):
         raise ValueError("arms must be a nonempty list of probabilities in [0, 1]")
     R, D = len(realizations), arms.size
-    factors = suppression_factors(
-        np.concatenate([r.interferer_distances for r in realizations]), r0, channel)
-    owner = block_owner([r.num_interferers for r in realizations])
+    factors = suppression_factors(np.concatenate(realizations), r0, channel)
+    owner = block_owner([d.size for d in realizations])
     noise = channel.noise_success_factor(r0)
     # expected block reward T q P_cls(q); the classical kernel draws nothing
     mu = np.stack([T * q * block_success_prob(factors, owner, R, noise,

@@ -60,11 +60,9 @@ def _cmd_analytic(config) -> dict[str, str]:
 
 def _cmd_ts(config) -> dict[str, str]:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    realization = sample_ppp(config.ppp, rng)
-    protocol = config.protocols[0]
-    trace, history = run_ts(
-        [realization], config.arms, protocol, config.channel, config.T, config.K, rng
-    )
+    trace, history = run_ts([sample_ppp(config.ppp, rng)], config.arms, config.protocols[0],
+                            config.channel, config.T, config.K, rng,
+                            r0=config.ppp.typical_distance_r0)
     arm_indices = trace.arm_indices[0]
     rows = [
         [k + 1, int(arm_indices[k]), config.arms[int(arm_indices[k])],

@@ -1,9 +1,10 @@
-"""Poisson bipolar network geometry: disk-window sampling and diagnostics.
+"""Poisson bipolar network geometry: disk-window sampling.
 
 Interferer positions follow a homogeneous Poisson point process on a finite
 disk window centered at the typical receiver; only point distances are kept,
 since every downstream statistic depends on distances alone. `sample_blocks`
-is the one sampler; `sample_ppp` is its one-window case.
+is the one sampler; `sample_ppp` is its one-window case. A fixed realization
+is the 1-D array of its interferer distances; callers pass r0 once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "PppConfig",
-    "NetworkRealization",
+    "check_distances",
     "default_window_radius",
     "sample_blocks",
     "sample_ppp",
@@ -61,31 +62,14 @@ class PppConfig:
         return self.intensity_lambda * math.pi * self.window_radius_R**2
 
 
-@dataclass(frozen=True)
-class NetworkRealization:
-    """One sampled set of interferer distances plus the fixed typical distance.
-
-    Immutable after creation; the typical pair is never part of `distances`.
-    """
-
-    interferer_distances: np.ndarray
-    typical_distance_r0: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "interferer_distances",
-            np.asarray(self.interferer_distances, dtype=float),
-        )
-        if self.interferer_distances.ndim != 1:
-            raise ValueError("interferer_distances must be one-dimensional")
-        if self.interferer_distances.size and not np.all(self.interferer_distances > 0.0):
-            raise ValueError("interferer distances must be strictly positive")
-        if self.typical_distance_r0 <= 0.0:
-            raise ValueError("typical_distance_r0 must be > 0")
-
-    @property
-    def num_interferers(self) -> int:
-        return int(self.interferer_distances.size)
+def check_distances(distances, r0: float) -> np.ndarray:
+    """A hand-made realization as a 1-D float array; rejects a distance or r0 <= 0."""
+    distances = np.asarray(distances, dtype=float)
+    if distances.ndim != 1:
+        raise ValueError("interferer distances must be one-dimensional")
+    if not (r0 > 0.0 and np.all(distances > 0.0)):
+        raise ValueError("interferer distances and r0 must be > 0")
+    return distances
 
 
 def sample_blocks(config: PppConfig, n_blocks: int,
@@ -99,6 +83,6 @@ def sample_blocks(config: PppConfig, n_blocks: int,
     return counts, distances
 
 
-def sample_ppp(config: PppConfig, rng: np.random.Generator) -> NetworkRealization:
-    """Draw one realization: the one-block case of `sample_blocks`."""
-    return NetworkRealization(sample_blocks(config, 1, rng)[1], config.typical_distance_r0)
+def sample_ppp(config: PppConfig, rng: np.random.Generator) -> np.ndarray:
+    """One realization's interferer distances: the one-block case of `sample_blocks`."""
+    return sample_blocks(config, 1, rng)[1]

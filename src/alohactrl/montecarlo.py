@@ -22,9 +22,9 @@ chunk of blocks.
 Determinism: every fresh-geometry estimate follows one chunk rule,
 `_each_chunk`: chunk i draws from child i of the point's seed sequence, and
 results reduce in chunk order, so outputs are byte-identical for any worker
-count. A regret study samples each realization from its own child seed and
-runs Thompson sampling on all of them as one lockstep loop (`bandit.run_ts`),
-which uses no worker threads.
+count. A regret study samples each realization (its distance array) from
+its own child seed and runs Thompson sampling on all of them as one lockstep
+loop (`bandit.run_ts`), which uses no worker threads.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .aloha import Protocol
 from .bandit import regret_envelope_explicit, run_ts
 from .channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 from .control import LtiSystem, longest_runs, run_block_rested, run_block_restless
-from .geometry import NetworkRealization, PppConfig, sample_blocks, sample_ppp
+from .geometry import PppConfig, check_distances, sample_blocks, sample_ppp
 
 __all__ = [
     "ExperimentConfig",
@@ -193,12 +193,14 @@ def simulate_ack_blocks(
     T: int,
     n_blocks: int,
     seed_seq: np.random.SeedSequence,
-    realization: Optional[NetworkRealization] = None,
+    realization: Optional[np.ndarray] = None,
     threads: int = 1,
 ) -> np.ndarray:
-    """Deterministic chunked simulation of n_blocks success sequences."""
-    fixed = None if realization is None else suppression_factors(
-        realization.interferer_distances, ppp.typical_distance_r0, channel)
+    """Deterministic chunked simulation of n_blocks success sequences, on
+    fresh geometries or on one fixed `realization` (its interferer distances)."""
+    r0 = ppp.typical_distance_r0
+    fixed = (None if realization is None
+             else suppression_factors(check_distances(realization, r0), r0, channel))
     work = partial(_chunk_acks, ppp, channel, Protocol(protocol), q, T, fixed_factors=fixed)
     return np.concatenate(_each_chunk(n_blocks, seed_seq, threads, work), axis=0)
 
@@ -218,8 +220,7 @@ def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult
     fixed = None
     if config.fixed_geometry:
         real = sample_ppp(config.ppp, np.random.Generator(np.random.PCG64(combo_seeds[-1])))
-        fixed = suppression_factors(real.interferer_distances, config.ppp.typical_distance_r0,
-                                    config.channel)
+        fixed = suppression_factors(real, config.ppp.typical_distance_r0, config.channel)
     plant = (config.plant or default_system_for(config.v, config.process_noise_std)
              if config.state_level else None)
     runners = {"restless": run_block_restless, "rested": run_block_rested}
@@ -335,6 +336,6 @@ def run_regret_study(config: ExperimentConfig) -> RegretStudyResult:
                     for s in root.spawn(config.num_realizations)]
     rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
     trace, _ = run_ts(realizations, config.arms, config.protocols[0], config.channel,
-                      config.T, K, rng, snapshot_every=0)
+                      config.T, K, rng, snapshot_every=0, r0=config.ppp.typical_distance_r0)
     envelope = np.array([regret_envelope_explicit(k, config.T, D) for k in range(1, K + 1)])
     return RegretStudyResult(trace.cumulative.mean(axis=0), envelope)

@@ -167,12 +167,10 @@ def run_detectors_vs_scan():
 @check
 def ppp_trivial_cases():
     cfg = geometry.PppConfig(0.0, 100.0, 10.0)
-    real = geometry.sample_ppp(cfg, _rng(1))
-    assert real.num_interferers == 0
+    assert geometry.sample_ppp(cfg, _rng(1)).size == 0
     cfg = geometry.PppConfig(5e-3, 100.0, 10.0)
     real = geometry.sample_ppp(cfg, _rng(2))
-    assert real.interferer_distances.max() <= 100.0
-    assert real.interferer_distances.min() > 0.0
+    assert 0.0 < real.min() <= real.max() <= 100.0
 
 
 @check
@@ -190,10 +188,9 @@ def no_acks_at_q_zero():
 def posterior_bookkeeping():
     # a - 1 sums the arm's block rewards, and (a - 1) + (b - 1) is T per pull
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
-    real = geometry.NetworkRealization(np.array([15.0, 40.0]), 10.0)
     T, K = 20, 200
-    trace, history = bandit.run_ts([real], [0.3, 1.0], Protocol.BLOCK, params, T, K,
-                                   _rng(5), snapshot_every=K)
+    trace, history = bandit.run_ts([np.array([15.0, 40.0])], [0.3, 1.0], Protocol.BLOCK,
+                                   params, T, K, _rng(5), snapshot_every=K, r0=10.0)
     a, b = history[-1]["posteriors"][0].T
     for d in range(2):
         pulled = trace.arm_indices[0] == d
@@ -205,9 +202,8 @@ def posterior_bookkeeping():
 def arm_selection_dominance():
     # noiseless and alone, arm q earns T q a block: q = 1 dominates q = 0.1
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
-    real = geometry.NetworkRealization(np.empty(0), 10.0)
-    trace, _ = bandit.run_ts([real], [0.1, 1.0], Protocol.CLASSICAL, params, 20, 1000,
-                             _rng(11), snapshot_every=0)
+    trace, _ = bandit.run_ts([np.empty(0)], [0.1, 1.0], Protocol.CLASSICAL, params, 20, 1000,
+                             _rng(11), snapshot_every=0, r0=10.0)
     assert np.count_nonzero(trace.arm_indices[0] == 0) <= 20
 
 
@@ -215,10 +211,9 @@ def arm_selection_dominance():
 def oracle_arm_dense_dummy():
     # one interferer at r0: arm q earns T q (1 - q/2), largest at q = 1
     params = channel.ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0)
-    real = geometry.NetworkRealization(np.array([10.0]), 10.0)
     arms = [round(0.1 * i, 10) for i in range(1, 11)]
-    trace, _ = bandit.run_ts([real], arms, Protocol.BLOCK, params, 20, 50, _rng(0),
-                             snapshot_every=0)
+    trace, _ = bandit.run_ts([np.array([10.0])], arms, Protocol.BLOCK, params, 20, 50, _rng(0),
+                             snapshot_every=0, r0=10.0)
     assert trace.oracle_arm_index[0] == 9
     mu = np.array([20 * q * (1 - q / 2) for q in arms])
     assert np.allclose(trace.per_block_gap[0], mu[9] - mu[trace.arm_indices[0]],

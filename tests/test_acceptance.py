@@ -29,7 +29,7 @@ from alohactrl.control import (
     run_block_rested,
     run_block_restless,
 )
-from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
+from alohactrl.geometry import PppConfig, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
     estimate_block_controllability,
@@ -47,12 +47,12 @@ def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def kernel_classical(real, q, params):
+def kernel_classical(real, q, params, r0=10.0):
     """The success kernel on one realization under per-slot Bernoulli(q)
-    activity (q = 1: every interferer active); classical ALOHA draws nothing."""
-    r0 = real.typical_distance_r0
-    return block_success_prob(suppression_factors(real.interferer_distances, r0, params),
-                              block_owner([real.num_interferers]), 1,
+    activity (q = 1: every interferer active) at r0 = 10 m, the pair distance
+    of every case here; classical ALOHA draws nothing."""
+    return block_success_prob(suppression_factors(real, r0, params),
+                              block_owner([real.size]), 1,
                               params.noise_success_factor(r0), Protocol.CLASSICAL, q,
                               rng(0))[0]
 
@@ -102,23 +102,23 @@ def test_c1_demoivre_exact_enumeration():
 def test_c2_conditional_success_monte_carlo():
     start = time.perf_counter()
     cases = [
-        (NetworkRealization(np.array([15.0]), 10.0),
+        (np.array([15.0]),
          ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0), 0.5),
-        (NetworkRealization(np.array([12.0, 30.0]), 10.0),
+        (np.array([12.0, 30.0]),
          ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0), 0.8),
-        (NetworkRealization(np.array([11.0, 14.0, 18.0, 25.0]), 10.0),
+        (np.array([11.0, 14.0, 18.0, 25.0]),
          ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0), 0.3),
-        (NetworkRealization(np.array([10.5, 40.0, 90.0]), 10.0),
+        (np.array([10.5, 40.0, 90.0]),
          ChannelParams(0.25, 1.0, 2.0, 1e-4, 0.5), 0.6),
-        (NetworkRealization(np.empty(0), 10.0),
+        (np.empty(0),
          ChannelParams(1.0, 1.0, 2.0, 5e-4, 2.0), 0.7),
     ]
     n = 1_000_000
     g = rng(202)
     for i, (real, params, q) in enumerate(cases):
-        k = real.num_interferers
-        coeffs = params.rx_power_coeff(real.interferer_distances) if k else np.empty(0)
-        sig = float(params.rx_power_coeff(real.typical_distance_r0))
+        k = real.size
+        coeffs = params.rx_power_coeff(real) if k else np.empty(0)
+        sig = float(params.rx_power_coeff(10.0))
         gamma = params.sinr_threshold_gamma
 
         # fixed active set: all interferers active, fading-only MC
@@ -192,7 +192,7 @@ def test_c3_moment_oracle():
             real = sample_ppp(ppp, check)
             direct = kernel_classical(real, 0.7, params)
             ref = params.noise_success_factor(r0) * float(np.prod(
-                0.7 / (1.0 + (real.interferer_distances / r0) ** -4.0) + 0.3
+                0.7 / (1.0 + (real / r0) ** -4.0) + 0.3
             ))
             assert direct == pytest.approx(ref, rel=1e-12)
     elapsed = time.perf_counter() - start
@@ -318,7 +318,7 @@ def test_c7_ts_identification():
     trace, _ = run_ts(
         realizations, config.arms, Protocol.BLOCK, config.channel,
         config.T, config.K, np.random.Generator(np.random.PCG64(seeds[runs])),
-        snapshot_every=0,
+        snapshot_every=0, r0=config.ppp.typical_distance_r0,
     )
     hits = 0
     for i in range(runs):

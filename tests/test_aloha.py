@@ -78,7 +78,7 @@ class TestThinningConsistency:
         cfg = PppConfig(2e-3, 50.0, 10.0)  # mean ~15.7
         q = 0.4
         g = rng(7)
-        counts = np.array([sample_ppp(cfg, g).num_interferers for _ in range(10_000)])
+        counts = np.array([sample_ppp(cfg, g).size for _ in range(10_000)])
         p = block_success_prob(np.full(counts.sum(), 0.5), block_owner(counts), counts.size,
                                1.0, Protocol.BLOCK, q, g)
         active = np.rint(-np.log2(p)).astype(int)

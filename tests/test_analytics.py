@@ -40,11 +40,10 @@ def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def kernel_real(real, params, protocol, q, g):
+def kernel_real(real, r0, params, protocol, q, g):
     """The success kernel on one realization, from its suppression factors."""
-    r0 = real.typical_distance_r0
-    return block_success_prob(suppression_factors(real.interferer_distances, r0, params),
-                              block_owner([real.num_interferers]), 1,
+    return block_success_prob(suppression_factors(real, r0, params),
+                              block_owner([real.size]), 1,
                               params.noise_success_factor(r0), protocol, q, g)[0]
 
 
@@ -189,12 +188,14 @@ class TestInterferenceLogIntegral:
         assert abs(math.exp(expnt) - mc) / mc < 0.02
 
     @pytest.mark.parametrize("alpha, window", [
-        (alpha, window) for alpha in (2.0, 3.0, 4.0) for window in (500.0, 5000.0, "fig2")
+        (alpha, window) for alpha in (2.0, 3.0, 4.0, 6.0) for window in (500.0, 5000.0, "fig2")
     ])
     @pytest.mark.parametrize("protocol", list(Protocol))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_quadpack(self, protocol, alpha, window):
         # scipy.integrate.quad (QUADPACK qags) on the same integrand,
-        # 1 - base^n = -expm1(n log(1 - c)), c = q_c / (1 + (z/r0)^a / gamma)
+        # 1 - base^n = -expm1(n log(1 - c)), c = q_c / (1 + (z/r0)^a / gamma);
+        # at alpha = 6, c rounds to 1 near z = 0, where the limit is 1
         fig2 = load_config("fig2")
         L = fig2.ppp.window_radius_R if window == "fig2" else window
         params = ChannelParams(fig2.channel.tx_power_eta, fig2.channel.pathloss_const_rho,
@@ -208,7 +209,7 @@ class TestInterferenceLogIntegral:
             for order in range(1, 31):
                 def f(z):
                     c = q_c / (1.0 + (z / r0) ** alpha / params.sinr_threshold_gamma)
-                    return -math.expm1(order * math.log1p(-c)) * z
+                    return -math.expm1(order * math.log1p(-c)) * z if c < 1.0 else z
 
                 want = -2.0 * math.pi * lam_eff * integrate.quad(
                     f, 0.0, L, epsabs=analytics._ABS_TOL, epsrel=analytics._REL_TOL,
@@ -262,7 +263,7 @@ class TestMomentZeta:
         vals = np.empty(n)
         for i in range(n):
             real = sample_ppp(cfg, g)
-            vals[i] = kernel_real(real, params, Protocol.BLOCK, q, g)
+            vals[i] = kernel_real(real, r0, params, Protocol.BLOCK, q, g)
         assert abs(vals.mean() - want) / want < 0.02
 
 
@@ -445,7 +446,7 @@ class TestMetaDistribution:
         hits = 0
         for _ in range(n):
             real = sample_ppp(cfg, g)
-            hits += kernel_real(real, params, Protocol.CLASSICAL, q, g) >= pstar
+            hits += kernel_real(real, r0, params, Protocol.CLASSICAL, q, g) >= pstar
         emp = hits / n
         assert abs(analytic - emp) < 0.015
 
@@ -463,7 +464,7 @@ class TestMetaDistribution:
         hits = 0
         for _ in range(n):
             real = sample_ppp(cfg, g)
-            hits += kernel_real(real, params, Protocol.BLOCK, q, g) >= pstar
+            hits += kernel_real(real, r0, params, Protocol.BLOCK, q, g) >= pstar
         assert abs(analytic - hits / n) < 0.02
 
 

@@ -13,7 +13,7 @@ from alohactrl.bandit import (
     select_arm,
 )
 from alohactrl.channel import ChannelParams, block_owner, block_success_prob, suppression_factors
-from alohactrl.geometry import NetworkRealization, PppConfig, sample_ppp
+from alohactrl.geometry import PppConfig, sample_ppp
 
 
 def rng(seed=0):
@@ -24,11 +24,10 @@ def unit_params(alpha=2.0, gamma=1.0, N0=0.0):
     return ChannelParams(1.0, 1.0, alpha, N0, gamma)
 
 
-def block_reward(real, q, params, T):
+def block_reward(real, q, params, T, r0=10.0):
     """Expected block reward T q P_cls(q) of arm q, from the success kernel."""
-    r0 = real.typical_distance_r0
-    return T * q * block_success_prob(suppression_factors(real.interferer_distances, r0, params),
-                                      block_owner([real.num_interferers]), 1,
+    return T * q * block_success_prob(suppression_factors(real, r0, params),
+                                      block_owner([real.size]), 1,
                                       params.noise_success_factor(r0), Protocol.CLASSICAL,
                                       q, rng())[0]
 
@@ -117,9 +116,9 @@ class TestOracleArm:
 
     def test_no_interferers_prefers_largest_q(self):
         params = ChannelParams(1.0, 1.0, 2.0, 1e-4, 1.0)
-        real = NetworkRealization(np.empty(0), 10.0)
+        real = np.empty(0)
         arms = [0.2, 0.5, 1.0]
-        trace, _ = run_ts([real], arms, Protocol.BLOCK, params, 20, 50, rng(22))
+        trace, _ = run_ts([real], arms, Protocol.BLOCK, params, 20, 50, rng(22), r0=10.0)
         assert trace.oracle_arm_index.tolist() == [2]
         mu = 20 * np.array(arms) * params.noise_success_factor(10.0)
         gaps = mu[2] - mu[trace.arm_indices[0]]
@@ -129,9 +128,9 @@ class TestOracleArm:
         # single interferer at r0 with gamma=1: mu(q) = T q (q/2 + 1 - q),
         # increasing on [0,1] so the largest arm wins
         params = unit_params()
-        real = NetworkRealization(np.array([10.0]), 10.0)
+        real = np.array([10.0])
         arms = [round(0.1 * i, 10) for i in range(1, 11)]
-        trace, _ = run_ts([real], arms, Protocol.CLASSICAL, params, 20, 50, rng(23))
+        trace, _ = run_ts([real], arms, Protocol.CLASSICAL, params, 20, 50, rng(23), r0=10.0)
         assert trace.oracle_arm_index.tolist() == [9]
         for q in arms:
             want = 20 * q * (q * 0.5 + 1 - q)
@@ -148,7 +147,7 @@ class TestOracleArm:
             for q in (0.3, 0.8):
                 want = block_reward(real, q, params, T)
                 trace, _ = run_ts([real], [q], protocol, params, T, n_blocks, g,
-                                  snapshot_every=0)
+                                  snapshot_every=0, r0=10.0)
                 rewards = trace.block_rewards[0]
                 se = rewards.std(ddof=1) / math.sqrt(n_blocks)
                 assert abs(rewards.mean() - want) < 2.5 * se, (protocol, q)
@@ -162,8 +161,8 @@ def realizations(n, seed):
 class TestRunTs:
     def test_single_arm_zero_regret(self):
         params = unit_params()
-        reals = [NetworkRealization(np.array([25.0]), 10.0), *realizations(3, 11)]
-        trace, _ = run_ts(reals, [0.5], Protocol.BLOCK, params, 10, 50, rng(11))
+        reals = [np.array([25.0]), *realizations(3, 11)]
+        trace, _ = run_ts(reals, [0.5], Protocol.BLOCK, params, 10, 50, rng(11), r0=10.0)
         assert trace.per_block_gap.shape == (4, 50)
         assert np.all(trace.per_block_gap == 0.0)
         assert np.all(trace.cumulative == 0.0)
@@ -172,14 +171,14 @@ class TestRunTs:
         params = unit_params()
         reals = realizations(3, 12)
         arms = [0.2, 0.5, 0.9]
-        trace, _ = run_ts(reals, arms, Protocol.BLOCK, params, 20, 300, rng(13))
+        trace, _ = run_ts(reals, arms, Protocol.BLOCK, params, 20, 300, rng(13), r0=10.0)
         assert np.all(trace.per_block_gap >= 0.0)
         assert np.allclose(trace.cumulative, np.cumsum(trace.per_block_gap, axis=1))
         for r, real in enumerate(reals):
             # one kernel call: the realization once per arm, each with its arm as q
             mu = 20 * np.array(arms) * block_success_prob(
-                np.tile(suppression_factors(real.interferer_distances, 10.0, params), len(arms)),
-                block_owner([real.num_interferers] * len(arms)), len(arms),
+                np.tile(suppression_factors(real, 10.0, params), len(arms)),
+                block_owner([real.size] * len(arms)), len(arms),
                 params.noise_success_factor(10.0), Protocol.CLASSICAL, arms, rng())
             assert trace.oracle_arm_index[r] == np.argmax(mu)
             assert np.array_equal(trace.per_block_gap[r], mu.max() - mu[trace.arm_indices[r]])
@@ -194,7 +193,7 @@ class TestRunTs:
         arms = [0.3, 0.6, 1.0]
         for protocol in Protocol:
             trace, history = run_ts(reals, arms, protocol, params, T, K, rng(15),
-                                    snapshot_every=K)
+                                    snapshot_every=K, r0=10.0)
             posteriors = history[-1]["posteriors"]
             assert posteriors.shape == (5, 3, 2)
             for r in range(5):
@@ -212,7 +211,8 @@ class TestRunTs:
         reals = realizations(3, 19)
         T, K, q = 20, 20_000, 0.6
         for protocol in Protocol:
-            trace, _ = run_ts(reals, [q], protocol, params, T, K, rng(20), snapshot_every=0)
+            trace, _ = run_ts(reals, [q], protocol, params, T, K, rng(20), snapshot_every=0,
+                              r0=10.0)
             for r, real in enumerate(reals):
                 rewards = trace.block_rewards[r]
                 se = rewards.std(ddof=1) / math.sqrt(K)
@@ -224,9 +224,9 @@ class TestRunTs:
     def test_inferior_arm_pulls_sublinear(self):
         # large reward gap: inferior-arm pulls grow slower than linearly
         params = unit_params()
-        real = NetworkRealization(np.empty(0), 10.0)  # mu(q) = T q, gap 0.6T
+        real = np.empty(0)  # mu(q) = T q, gap 0.6T
         arms = [0.3, 0.9]
-        trace, _ = run_ts([real], arms, Protocol.BLOCK, params, 20, 5000, rng(16))
+        trace, _ = run_ts([real], arms, Protocol.BLOCK, params, 20, 5000, rng(16), r0=10.0)
         pulls_half = int(np.sum(trace.arm_indices[0, :2500] == 0))
         pulls_full = int(np.sum(trace.arm_indices[0] == 0))
         assert pulls_full < 2 * max(pulls_half, 1)
@@ -234,8 +234,8 @@ class TestRunTs:
 
     def test_snapshots_every_100(self):
         params = unit_params()
-        reals = [NetworkRealization(np.empty(0), 10.0)] * 3
-        _, history = run_ts(reals, [0.4, 0.8], Protocol.BLOCK, params, 5, 250, rng(17))
+        reals = [np.empty(0)] * 3
+        _, history = run_ts(reals, [0.4, 0.8], Protocol.BLOCK, params, 5, 250, rng(17), r0=10.0)
         assert [h["block"] for h in history] == [100, 200]
         assert all(h["posteriors"].shape == (3, 2, 2) for h in history)
 
@@ -245,11 +245,11 @@ class TestRunTs:
         # posterior updates, gives the same arms, rewards, snapshots and
         # generator state on the same seed (the last realization is empty)
         params = ChannelParams(1.0, 1.0, 2.0, 2e-3, 1.5)
-        reals = [*realizations(2, 25), NetworkRealization(np.empty(0), 10.0)]
+        reals = [*realizations(2, 25), np.empty(0)]
         arms = np.array([0.2, 0.5, 0.8, 1.0])
         R, D, T, K = 3, arms.size, 20, 300
-        distances = np.concatenate([r.interferer_distances for r in reals])
-        owner = block_owner([r.num_interferers for r in reals])
+        distances = np.concatenate(reals)
+        owner = block_owner([r.size for r in reals])
         noise = params.noise_success_factor(10.0)
         for protocol in Protocol:
             g = rng(26)
@@ -273,7 +273,7 @@ class TestRunTs:
                     snapshots.append(np.stack([a, b], axis=-1))
 
             g_ts = rng(26)
-            trace, history = run_ts(reals, arms, protocol, params, T, K, g_ts)
+            trace, history = run_ts(reals, arms, protocol, params, T, K, g_ts, r0=10.0)
             assert np.array_equal(trace.arm_indices, arm_indices), protocol
             assert np.array_equal(trace.block_rewards, rewards), protocol
             assert [h["block"] for h in history] == [100, 200, 300]
@@ -283,12 +283,16 @@ class TestRunTs:
 
     def test_empty_arm_list_rejected(self):
         with pytest.raises(ValueError):
-            run_ts(realizations(2, 24), [], Protocol.BLOCK, unit_params(), 5, 10, rng(24))
+            run_ts(realizations(2, 24), [], Protocol.BLOCK, unit_params(), 5, 10, rng(24), r0=10.0)
 
-    def test_realizations_must_share_r0(self):
-        reals = [NetworkRealization(np.empty(0), 10.0), NetworkRealization(np.empty(0), 12.0)]
+    @pytest.mark.parametrize("distances, r0", [
+        (np.array([1.0, -2.0]), 10.0), (np.array([0.0]), 10.0), (np.ones((1, 1)), 10.0),
+        (np.empty(0), 0.0), (np.array([15.0]), -1.0),
+    ])
+    def test_rejects_nonpositive_distance_or_r0(self, distances, r0):
         with pytest.raises(ValueError):
-            run_ts(reals, [0.5], Protocol.BLOCK, unit_params(), 5, 10, rng(21))
+            run_ts([np.array([20.0]), distances], [0.5], Protocol.BLOCK, unit_params(), 5, 10,
+                   rng(21), r0=r0)
 
 
 class TestEnvelopes:

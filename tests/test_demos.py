@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script, and the README's Python block, runs to completion
+against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +26,10 @@ def test_demo_exits_zero(script, tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -13,7 +13,7 @@ from alohactrl.config import load_config
 from alohactrl.channel import (
     ChannelParams, block_owner, block_success_prob, default_channel, suppression_factors,
 )
-from alohactrl.geometry import NetworkRealization, PppConfig, sample_blocks, sample_ppp
+from alohactrl.geometry import PppConfig, sample_blocks, sample_ppp
 from alohactrl.montecarlo import (
     ExperimentConfig,
     compare_analytic_empirical,
@@ -76,14 +76,23 @@ class TestSimulateAckBlocks:
                                    np.random.SeedSequence(3), realization=real)
         assert acks.shape == (5000, 10) and not acks.any()
 
+    @pytest.mark.parametrize("distances", [
+        np.array([1.0, -2.0]), np.array([0.0]), np.ones((1, 1)),
+    ])
+    def test_rejects_nonpositive_distance(self, distances):
+        # r0 is the PppConfig's, which rejects r0 <= 0 itself
+        with pytest.raises(ValueError):
+            simulate_ack_blocks(PppConfig(5e-4, 150.0, 10.0), default_channel(), Protocol.BLOCK,
+                                0.5, 10, 100, np.random.SeedSequence(3), realization=distances)
+
     def test_fixed_geometry_blocks_repeat_the_realization(self):
         # the realization's factors, repeated as 4 blocks of 3, equal the
         # kernel on the tiled distances, activity draws included
         ppp = PppConfig(5e-4, 150.0, 10.0)
         params = unit_params(alpha=2.0)
-        real = NetworkRealization(np.array([12.0, 30.0, 55.0]), 10.0)
-        fixed = suppression_factors(real.interferer_distances, 10.0, params)
-        tiled = suppression_factors(np.tile(real.interferer_distances, 4), 10.0, params)
+        real = np.array([12.0, 30.0, 55.0])
+        fixed = suppression_factors(real, 10.0, params)
+        tiled = suppression_factors(np.tile(real, 4), 10.0, params)
         for protocol in Protocol:
             once, per_block = np.random.default_rng(0), np.random.default_rng(0)
             got = _chunk_success_prob(ppp, params, protocol, 0.5, 4, once, fixed)
@@ -113,14 +122,14 @@ class TestSimulateAckBlocks:
         # protocols; slots are i.i.d. given the geometry for classical ALOHA,
         # and blocks are independent, so block totals give the standard error
         params = unit_params(alpha=2.0)
-        real = NetworkRealization(np.array([11.0, 16.0, 35.0, 60.0]), 10.0)
+        real = np.array([11.0, 16.0, 35.0, 60.0])
         q, T, n_blocks = 0.7, 10, 40_000
         acks = simulate_ack_blocks(PppConfig(5e-4, 150.0, 10.0), params, protocol, q, T,
                                    n_blocks, np.random.SeedSequence(8), realization=real)
         totals = acks.sum(axis=1)
         want = T * q * block_success_prob(
-            suppression_factors(real.interferer_distances, 10.0, params),
-            block_owner([real.num_interferers]), 1, params.noise_success_factor(10.0),
+            suppression_factors(real, 10.0, params),
+            block_owner([real.size]), 1, params.noise_success_factor(10.0),
             Protocol.CLASSICAL, q, np.random.default_rng(0))[0]
         se = totals.std(ddof=1) / math.sqrt(n_blocks)
         assert abs(totals.mean() - want) < 3 * se
@@ -337,7 +346,8 @@ class TestRegretStudy:
         reals = [sample_ppp(cfg.ppp, np.random.Generator(np.random.PCG64(s)))
                  for s in root.spawn(5)]
         trace, _ = run_ts(reals, cfg.arms, cfg.protocols[0], cfg.channel, cfg.T, cfg.K,
-                          np.random.Generator(np.random.PCG64(root.spawn(1)[0])))
+                          np.random.Generator(np.random.PCG64(root.spawn(1)[0])),
+                          r0=cfg.ppp.typical_distance_r0)
         study = run_regret_study(cfg)
         assert np.array_equal(study.mean_cumulative, trace.cumulative.mean(axis=0))
 
