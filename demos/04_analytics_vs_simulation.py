@@ -2,36 +2,26 @@
 
 The moment expansion of the longest-run tail (success-probability moments via
 the Poisson generating functional, windowed at the simulation radius) should
-sit inside the Monte-Carlo confidence band at every q.
+agree with the Monte-Carlo sweep at every q, within the `compare` pass rule
+|diff| <= max(0.02, 3 * ci95).
 """
 
-import math
-
-import numpy as np
-
-from alohactrl import ChannelParams, PppConfig
+from alohactrl import ChannelParams, ExperimentConfig, PppConfig, compare_analytic_empirical
 from alohactrl.aloha import Protocol
-from alohactrl.analytics import prob_block_controllable_restless
-from alohactrl.control import longest_runs
-from alohactrl.montecarlo import simulate_ack_blocks
 
 lam, r0, R = 1e-4, 10.0, 500.0
-params = ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0)
-ppp = PppConfig(lam, R, r0)
-T, v, n_blocks = 20, 4, 20_000
+config = ExperimentConfig(
+    PppConfig(lam, R, r0), ChannelParams(1.0, 1.0, 4.0, 0.0, 1.0),
+    protocols=(Protocol.BLOCK,), systems=("restless",), q_values=(0.1, 0.3, 0.5, 0.7, 0.9, 1.0),
+    T=20, v=4, num_realizations=20_000, seed=40,
+)
 
-print(f"restless system, block ALOHA, T={T}, v={v}, lambda={lam:g}, "
-      f"{n_blocks} blocks per point\n")
-print("   q   | simulated (95% CI)  | analytic | inside CI")
-print("-------+---------------------+----------+----------")
-for i, q in enumerate([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]):
-    acks = simulate_ack_blocks(
-        ppp, params, Protocol.BLOCK, q, T, n_blocks, np.random.SeedSequence(40 + i)
-    )
-    emp = float(np.mean(longest_runs(acks) >= v))
-    hw = 1.96 * math.sqrt(emp * (1 - emp) / n_blocks)
-    analytic = prob_block_controllable_restless(T, v, q, ppp, params, Protocol.BLOCK)
-    ok = "yes" if abs(emp - analytic) <= max(hw, 0.01) else "NO"
-    print(f"  {q:.1f}  |  {emp:.4f} +- {hw:.4f}  |  {analytic:.4f}  |   {ok}")
+print(f"restless system, block ALOHA, T={config.T}, v={config.v}, lambda={lam:g}, "
+      f"{config.num_realizations} blocks per point\n")
+print("   q   | simulated | analytic | |diff|  | passes")
+print("-------+-----------+----------+---------+-------")
+for row in compare_analytic_empirical(config):
+    print(f"  {row.q:.1f}  |  {row.empirical:.4f}   |  {row.analytic:.4f}  | {row.abs_diff:.4f}  |"
+          f"  {'yes' if row.passes else 'NO'}")
 
 print("\nThe CLI `compare` subcommand writes this table as compare.csv.")

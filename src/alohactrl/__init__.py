@@ -23,7 +23,6 @@ from .bandit import (
     RegretTrace,
     regret_envelope_explicit,
     run_ts,
-    select_arm,
 )
 from .channel import (
     ChannelParams,
@@ -52,7 +51,6 @@ from .montecarlo import (
     estimate_block_controllability,
     estimate_meta_empirical,
     run_regret_study,
-    simulate_ack_blocks,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -124,9 +124,9 @@ def run_ccdf_demoivre(T: int, v: int, p: float) -> float:
     The de Moivre polynomial is evaluated exactly, in integers over the
     common denominator d^T of p = n/d, so no term cancels in floating point.
     """
-    coeffs = _run_tail_coefficients(T, v)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    coeffs = _run_tail_coefficients(T, v)
     n, d = Fraction(p).as_integer_ratio()
     numerator = sum(ck * n**k * d**(T - k) for k, ck in enumerate(coeffs) if ck)
     return float(Fraction(numerator, d**T))

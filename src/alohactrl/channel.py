@@ -116,9 +116,9 @@ def default_channel(gamma: float = 1.0) -> ChannelParams:
 def suppression_factors(distances, r0: float, params: ChannelParams) -> np.ndarray:
     """Per-interferer factor 1 / (1 + gamma (z/r0)^(-alpha)): the chance that
     one active Rayleigh-faded interferer at distance z leaves the typical
-    link above threshold. Zero at z = 0, without a warning."""
+    link above threshold. Zero where (z/r0)^(-alpha) is inf, without a warning."""
     ratio = np.asarray(distances, dtype=float) / r0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / (1.0 + params.sinr_threshold_gamma * ratio ** (-params.pathloss_exp_alpha))
 
 

@@ -36,18 +36,13 @@ def _fmt(x) -> str:
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    lines = [",".join(header)] + [",".join(_fmt(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _cmd_simulate(config) -> dict[str, str]:
-    results = estimate_block_controllability(config)
-    rows = [
-        [r.protocol.value, r.system, r.q, r.estimate, r.half_width_95]
-        for r in results
-    ]
+    rows = [[r.protocol.value, r.system, r.q, r.estimate, r.half_width_95]
+            for r in estimate_block_controllability(config)]
     return {"sweep.csv": _csv(["protocol", "system", "q", "estimate", "ci95"], rows)}
 
 
@@ -69,7 +64,7 @@ def _cmd_ts(config) -> dict[str, str]:
          float(trace.block_rewards[0, k]), float(trace.cumulative[0, k])]
         for k in range(config.K)
     ]
-    artifacts = {
+    return {
         "ts.csv": _csv(["k", "arm", "q", "block_reward", "cumulative_regret"], rows),
         "posteriors.json": json.dumps(
             {
@@ -82,7 +77,6 @@ def _cmd_ts(config) -> dict[str, str]:
             indent=2,
         ) + "\n",
     }
-    return artifacts
 
 
 def _cmd_compare(config) -> dict[str, str]:
@@ -107,16 +101,19 @@ def _cmd_regret(config) -> dict[str, str]:
     return {"regret.csv": _csv(["k", "mean_regret", "envelope"], rows)}
 
 
-def _check_command(command: str, config) -> None:
-    """Reject a config the command would run only in part, or not as asked."""
+def _check_command(command: str, config) -> str | None:
+    """Reject a config the command would run not as asked; name what it skips."""
     if command in ("ts", "regret") and len(config.protocols) > 1:
         raise ValueError(f"config key 'protocol': {command} runs block or classical, not both")
     if command == "compare" and config.fixed_geometry:
         raise ValueError("config key 'fixed_geometry': compare checks network averages, "
                          "which need a new geometry per block")
-    if (command in ("analytic", "compare") and config.systems == ("rested",)
+    if (command in ("analytic", "compare") and "rested" in config.systems
             and not config.beta_values):
-        raise ValueError("config key 'beta_values': the rested values need a target")
+        if config.systems == ("rested",):
+            raise ValueError("config key 'beta_values': the rested values need a target")
+        return ("note: config key 'beta_values' is empty, so the rested values (meta "
+                "distribution per beta and q) are skipped")
 
 
 _COMMANDS = {
@@ -163,7 +160,7 @@ def main(argv=None) -> int:
         overrides.append(f"seed = {args.seed}")
     try:
         config = load_config(args.config, overrides)
-        _check_command(args.command, config)
+        note = _check_command(args.command, config)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -184,6 +181,8 @@ def main(argv=None) -> int:
         return 3
     for path in written:
         print(path)
+    if note:  # printed after the paths, so a failed run prints one error line
+        print(note, file=sys.stderr)
     return 0
 
 

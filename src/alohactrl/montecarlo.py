@@ -43,14 +43,13 @@ from .aloha import Protocol
 from .bandit import regret_envelope_explicit, run_ts
 from .channel import ChannelParams, block_owner, block_success_prob, suppression_factors
 from .control import LtiSystem, longest_runs, run_block_rested, run_block_restless
-from .geometry import PppConfig, check_distances, sample_blocks, sample_ppp
+from .geometry import PppConfig, sample_blocks, sample_ppp
 
 __all__ = [
     "ExperimentConfig",
     "SweepResult",
     "CompareRow",
     "RegretStudyResult",
-    "simulate_ack_blocks",
     "estimate_block_controllability",
     "analytic_points",
     "compare_analytic_empirical",
@@ -183,26 +182,6 @@ def _each_chunk(n_blocks: int, seed_seq: np.random.SeedSequence, threads: int, w
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, firsts, seeds))
     return list(map(one, firsts, seeds))
-
-
-def simulate_ack_blocks(
-    ppp: PppConfig,
-    channel: ChannelParams,
-    protocol: Protocol,
-    q: float,
-    T: int,
-    n_blocks: int,
-    seed_seq: np.random.SeedSequence,
-    realization: Optional[np.ndarray] = None,
-    threads: int = 1,
-) -> np.ndarray:
-    """Deterministic chunked simulation of n_blocks success sequences, on
-    fresh geometries or on one fixed `realization` (its interferer distances)."""
-    r0 = ppp.typical_distance_r0
-    fixed = (None if realization is None
-             else suppression_factors(check_distances(realization, r0), r0, channel))
-    work = partial(_chunk_acks, ppp, channel, Protocol(protocol), q, T, fixed_factors=fixed)
-    return np.concatenate(_each_chunk(n_blocks, seed_seq, threads, work), axis=0)
 
 
 def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult]:

@@ -9,6 +9,7 @@ and exits nonzero if any fails.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -177,10 +178,8 @@ def ppp_trivial_cases():
 def no_acks_at_q_zero():
     ppp = geometry.PppConfig(5e-3, 100.0, 10.0)
     for protocol in Protocol:
-        acks = montecarlo.simulate_ack_blocks(
-            ppp, channel.default_channel(), protocol, 0.0, 10, 500,
-            np.random.SeedSequence(3),
-        )
+        acks = montecarlo._chunk_acks(ppp, channel.default_channel(), protocol, 0.0, 10, 500,
+                                      _rng(3))
         assert not acks.any(), protocol
 
 
@@ -247,17 +246,12 @@ def meta_point_mass():
 
 @check
 def chunked_simulation_reproducible():
-    ppp = geometry.PppConfig(5e-3, 100.0, 10.0)
-    params = channel.default_channel()
-    a = montecarlo.simulate_ack_blocks(
-        ppp, params, Protocol.BLOCK, 0.5, 10, 5000,
-        np.random.SeedSequence(42), threads=1,
-    )
-    b = montecarlo.simulate_ack_blocks(
-        ppp, params, Protocol.BLOCK, 0.5, 10, 5000,
-        np.random.SeedSequence(42), threads=3,
-    )
-    assert np.array_equal(a, b)
+    # 9,000 blocks are three chunks, so threads = 3 runs them in the pool
+    config = montecarlo.ExperimentConfig(geometry.PppConfig(5e-3, 100.0, 10.0),
+                                         channel.default_channel(), q_values=(0.5,), T=10,
+                                         num_realizations=9000, seed=42)
+    sweep = montecarlo.estimate_block_controllability
+    assert sweep(config) == sweep(replace(config, threads=3))
 
 
 def run_selftest() -> int:

@@ -35,7 +35,7 @@ from alohactrl.montecarlo import (
     estimate_block_controllability,
     estimate_meta_empirical,
     run_regret_study,
-    simulate_ack_blocks,
+    _chunk_acks,
 )
 
 
@@ -213,19 +213,17 @@ def test_c4_restless_probability_end_to_end():
     ppp = PppConfig(lam, R, r0)
     T, v, n_blocks = 20, 4, 100_000
     qs = [round(0.1 * i, 10) for i in range(1, 11)]
-    seeds = np.random.SeedSequence(404).spawn(2 * len(qs))
+    # point i (protocol x q order) draws from child i of SeedSequence(404)
+    config = ExperimentConfig(ppp, params, systems=("restless",), q_values=qs, T=T, v=v,
+                              num_realizations=n_blocks, seed=404)
     worst = 0.0
-    i = 0
-    for protocol in (Protocol.BLOCK, Protocol.CLASSICAL):
-        for q in qs:
-            acks = simulate_ack_blocks(ppp, params, protocol, q, T, n_blocks, seeds[i])
-            emp = float(np.mean(longest_runs(acks) >= v))
-            se = math.sqrt(max(emp * (1 - emp), 1e-12) / n_blocks)
-            analytic = prob_block_controllable_restless(T, v, q, ppp, params, protocol)
-            diff = abs(emp - analytic)
-            worst = max(worst, diff)
-            assert diff <= max(0.02, 2 * se), (protocol, q, emp, analytic)
-            i += 1
+    for res in estimate_block_controllability(config):
+        emp = res.estimate
+        se = math.sqrt(max(emp * (1 - emp), 1e-12) / n_blocks)
+        analytic = prob_block_controllable_restless(T, v, res.q, ppp, params, res.protocol)
+        diff = abs(emp - analytic)
+        worst = max(worst, diff)
+        assert diff <= max(0.02, 2 * se), (res.protocol, res.q, emp, analytic)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     report("C4", f"P_RL analytic vs simulator within max(0.02, 2 SE) on "
@@ -290,11 +288,10 @@ def test_c6_fig2_orderings():
             ), (protocol, q)
 
     # (c) all curves are exactly 0 at q=0
+    # (q = 0 is outside ExperimentConfig's range, so the raw ack draw)
     for protocol in config.protocols:
-        acks = simulate_ack_blocks(
-            config.ppp, config.channel, protocol, 0.0, config.T, 20_000,
-            np.random.SeedSequence(606),
-        )
+        acks = _chunk_acks(config.ppp, config.channel, protocol, 0.0, config.T, 20_000,
+                           rng(606))
         assert not acks.any()
 
     elapsed = time.perf_counter() - start

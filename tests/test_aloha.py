@@ -12,7 +12,7 @@ import numpy as np
 from alohactrl.aloha import Protocol
 from alohactrl.channel import ChannelParams, block_owner, block_success_prob
 from alohactrl.geometry import PppConfig, sample_ppp
-from alohactrl.montecarlo import simulate_ack_blocks
+from alohactrl.montecarlo import _chunk_acks
 
 
 def rng(seed=0):
@@ -21,9 +21,9 @@ def rng(seed=0):
 
 def access(protocol, q, n_blocks, T, seed):
     """Per-slot access of the typical pair over n_blocks blocks, shape (n_blocks, T)."""
-    return simulate_ack_blocks(
+    return _chunk_acks(
         PppConfig(0.0, 100.0, 10.0), ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0),
-        protocol, q, T, n_blocks, np.random.SeedSequence(seed),
+        protocol, q, T, n_blocks, rng(seed),
     )
 
 

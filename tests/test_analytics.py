@@ -87,6 +87,13 @@ class TestRunCcdfDemoivre:
         with pytest.raises(ValueError):
             run_ccdf_demoivre(5, 2, 1.5)
 
+    def test_rejects_p_before_building_coefficients(self):
+        # at T = 1100, v = 1 the coefficients alone take over a second
+        misses = _run_tail_coefficients.cache_info().misses
+        with pytest.raises(ValueError):
+            run_ccdf_demoivre(1100, 1, 2.0)
+        assert _run_tail_coefficients.cache_info().misses == misses
+
     @settings(max_examples=200, deadline=None)
     @given(
         T=st.integers(1, 25),

@@ -34,6 +34,7 @@ EXTRA = ["--threads", "1"]
 ABSENT_LAYERS = [
     "channel.cond_success_prob_classical",
     "channel.cond_success_prob_block",
+    "montecarlo.simulate_ack_blocks",
     "analytics.gil_pelaez",
     "bandit.simulate_reward_block",
     "analytics.radial_grid",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,20 @@ class TestBlockSuccessProb:
         for b, seg in enumerate(segments(distances, counts)):
             want = direct_success(distances[seg], q, self.params)
             assert abs(p[b] - want) <= 1e-12, (b, p[b], want)
+
+    def test_tiny_distances_give_zero_factors_without_warning(self):
+        # (z/r0)^-alpha overflows below about r0 * 1e-154; the sampler lifts
+        # an exact-zero draw to the smallest positive float
+        distances = np.array([np.finfo(float).tiny, 1e-160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = suppression_factors(distances, 10.0, self.params)
+            assert factors.tolist() == [0.0, 0.0]
+            for protocol in Protocol:
+                p = block_success_prob(factors, block_owner([2]), 1,
+                                       self.params.noise_success_factor(10.0), protocol, 1.0,
+                                       rng())
+                assert p.tolist() == [0.0], protocol
 
     def test_block_matches_direct_product(self):
         distances, counts = segmented_geometry(rng(31))

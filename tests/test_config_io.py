@@ -294,6 +294,18 @@ class TestCliEndToEnd:
             values = [float(l.split(",")[6]) for l in lines[1:]]
             assert all(0.0 <= v <= 1.0 for v in values)
 
+    def test_skipped_rested_values_are_named(self, tmp_path, capsys):
+        # fig2 asks for both systems but has no beta: its restless rows are
+        # written as before, and one stderr line names what is left out
+        code = self.run_cli("analytic", "--config", "fig2", "--out", str(tmp_path / "an"),
+                            "--set", "q_values=[0.5]")
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: config key 'beta_values' is empty, so the rested values "
+            "(meta distribution per beta and q) are skipped"]
+        lines = (tmp_path / "an" / "analytic.csv").read_text().splitlines()
+        assert [l.split(",")[5] for l in lines[1:]] == ["", ""]
+
     def test_regret_outputs(self, tmp_path):
         out = tmp_path / "regret"
         code = self.run_cli(

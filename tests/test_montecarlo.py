@@ -21,7 +21,7 @@ from alohactrl.montecarlo import (
     estimate_block_controllability,
     estimate_meta_empirical,
     run_regret_study,
-    simulate_ack_blocks,
+    _chunk_acks,
     _chunk_success_prob,
 )
 from alohactrl.control import longest_runs
@@ -60,9 +60,9 @@ class TestConfigValidation:
 
 class TestSimulateAckBlocks:
     def test_q_zero_all_idle(self):
-        acks = simulate_ack_blocks(
+        acks = _chunk_acks(
             PppConfig(5e-4, 150.0, 10.0), unit_params(), Protocol.BLOCK,
-            0.0, 10, 2000, np.random.SeedSequence(1),
+            0.0, 10, 2000, np.random.default_rng(1),
         )
         assert not acks.any()
 
@@ -71,19 +71,20 @@ class TestSimulateAckBlocks:
     def test_q_zero_no_acks(self, protocol, fixed):
         # an idle typical pair never succeeds, whatever the kernel's value
         ppp = PppConfig(5e-4, 150.0, 10.0)
-        real = sample_ppp(ppp, np.random.default_rng(2)) if fixed else None
-        acks = simulate_ack_blocks(ppp, default_channel(), protocol, 0.0, 10, 5000,
-                                   np.random.SeedSequence(3), realization=real)
+        factors = (suppression_factors(sample_ppp(ppp, np.random.default_rng(2)), 10.0,
+                                       default_channel()) if fixed else None)
+        acks = _chunk_acks(ppp, default_channel(), protocol, 0.0, 10, 5000,
+                           np.random.default_rng(3), factors)
         assert acks.shape == (5000, 10) and not acks.any()
 
     @pytest.mark.parametrize("distances", [
         np.array([1.0, -2.0]), np.array([0.0]), np.ones((1, 1)),
     ])
     def test_rejects_nonpositive_distance(self, distances):
-        # r0 is the PppConfig's, which rejects r0 <= 0 itself
+        # run_ts is the one entry that takes fixed distances from a caller
         with pytest.raises(ValueError):
-            simulate_ack_blocks(PppConfig(5e-4, 150.0, 10.0), default_channel(), Protocol.BLOCK,
-                                0.5, 10, 100, np.random.SeedSequence(3), realization=distances)
+            run_ts([distances], [0.5], Protocol.BLOCK, default_channel(), 10, 1,
+                   np.random.default_rng(3), r0=10.0)
 
     def test_fixed_geometry_blocks_repeat_the_realization(self):
         # the realization's factors, repeated as 4 blocks of 3, equal the
@@ -124,8 +125,8 @@ class TestSimulateAckBlocks:
         params = unit_params(alpha=2.0)
         real = np.array([11.0, 16.0, 35.0, 60.0])
         q, T, n_blocks = 0.7, 10, 40_000
-        acks = simulate_ack_blocks(PppConfig(5e-4, 150.0, 10.0), params, protocol, q, T,
-                                   n_blocks, np.random.SeedSequence(8), realization=real)
+        acks = _chunk_acks(PppConfig(5e-4, 150.0, 10.0), params, protocol, q, T, n_blocks,
+                           np.random.default_rng(8), suppression_factors(real, 10.0, params))
         totals = acks.sum(axis=1)
         want = T * q * block_success_prob(
             suppression_factors(real, 10.0, params),
@@ -135,11 +136,13 @@ class TestSimulateAckBlocks:
         assert abs(totals.mean() - want) < 3 * se
 
     def test_reproducible_across_threads(self):
-        args = (PppConfig(5e-3, 100.0, 10.0), default_channel(), Protocol.CLASSICAL,
-                0.6, 12, 9000)
-        a = simulate_ack_blocks(*args, np.random.SeedSequence(5), threads=1)
-        b = simulate_ack_blocks(*args, np.random.SeedSequence(5), threads=4)
-        assert np.array_equal(a, b)
+        # 9,000 blocks are three chunks, which threads = 4 runs in the pool
+        config = small_config(ppp=PppConfig(5e-3, 100.0, 10.0), channel=default_channel(),
+                              protocols=(Protocol.CLASSICAL,), q_values=(0.6,), T=12,
+                              num_realizations=9000, seed=5)
+        a = estimate_block_controllability(config)
+        b = estimate_block_controllability(replace(config, threads=4))
+        assert a == b
 
     def test_longest_run_helper(self):
         acks = np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.uint8)
@@ -152,8 +155,8 @@ class TestSimulateAckBlocks:
         ppp = PppConfig(5e-4, 150.0, 10.0)
         params = unit_params(alpha=2.0)
         q = 0.5
-        acks = simulate_ack_blocks(
-            ppp, params, Protocol.CLASSICAL, q, 10, 40_000, np.random.SeedSequence(9)
+        acks = _chunk_acks(
+            ppp, params, Protocol.CLASSICAL, q, 10, 40_000, np.random.default_rng(9)
         )
         emp = float(acks.mean())
         want = moment_zeta(1, q, ppp, params, Protocol.CLASSICAL)
