@@ -5,26 +5,33 @@ comparison and regret studies.
 (restless block controllability, rested meta distribution per beta), and
 `compare_analytic_empirical` holds both pass rules against the simulator.
 
-Simulation is acknowledgment-level by default. Per chunk of blocks the
-geometries are drawn and their interferers' `channel.suppression_factors`
-computed once (a fixed geometry's once per run, then repeated);
-`channel.block_success_prob` gives each block's per-slot success probability
-p (drawing the interferers' block activity under block ALOHA). Given those
-draws the slot successes are i.i.d. Bernoulli(p), gated by the typical
-pair's own access draws, so no fading is simulated. The plant
-state recursion cannot influence the successes, so restless (consecutive)
-and rested (total) controllability flags are computed directly from the
-sequences. A state-level mode, for validation, feeds the same acknowledgment
-stream through the full controller/actuator loops: one batched slot loop per
-discipline (`control.run_block_restless`, `control.run_block_rested`) per
+Simulation is acknowledgment-level by default. A sweep makes one pass over
+chunks of blocks for all its (protocol, q) points. Per chunk the geometries
+are drawn and their interferers' `channel.suppression_factors` computed once
+(a fixed geometry's once per run, then repeated), and every point reuses
+them: `channel.block_success_prob` gives each block's per-slot success
+probability p (drawing the interferers' block activity under block ALOHA)
+for that point's protocol and q. Given those draws the slot successes are
+i.i.d. Bernoulli(p), gated by the typical pair's own access draws, so no
+fading is simulated. The plant state recursion cannot influence the
+successes, so restless (consecutive) and rested (total) controllability
+flags are computed directly from the sequences. A state-level mode, for
+validation, feeds the same acknowledgment stream through the full
+controller/actuator loops: one batched slot loop per discipline
+(`control.run_block_restless`, `control.run_block_rested`) per point and
 chunk of blocks.
 
 Determinism: every fresh-geometry estimate follows one chunk rule,
-`_each_chunk`: chunk i draws from child i of the point's seed sequence, and
-results reduce in chunk order, so outputs are byte-identical for any worker
-count. A regret study samples each realization (its distance array) from
-its own child seed and runs Thompson sampling on all of them as one lockstep
-loop (`bandit.run_ts`), which uses no worker threads.
+`_each_chunk`: chunk i draws from child i of one seed sequence (a sweep's
+first child of the config seed, shared by all its points; a fixed
+realization comes from the second; the state-level loops of a chunk draw
+from a child of its stream), and results reduce in chunk order, so outputs
+are byte-identical for any worker count. Since the points of a chunk share
+its geometry and its stream, one point's estimate depends on the `protocols`
+and `q_values` lists it runs with. A regret study samples each realization
+(its distance array) from its own child seed and runs Thompson sampling on
+all of them as one lockstep loop (`bandit.run_ts`), which uses no worker
+threads.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -139,12 +145,13 @@ class RegretStudyResult:
     envelope: np.ndarray
 
 
-def _chunk_success_prob(ppp: PppConfig, channel: ChannelParams, protocol: Protocol, q: float,
-                        n_blocks: int, rng: np.random.Generator,
-                        fixed_factors: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-slot success probability of n_blocks blocks: fresh `sample_blocks`
-    geometries, whose factors are computed once (their distances freed before
-    the kernel), or one realization's `fixed_factors` repeated."""
+def _chunk_geometry(ppp: PppConfig, channel: ChannelParams, n_blocks: int,
+                    rng: np.random.Generator,
+                    fixed_factors: Optional[np.ndarray] = None) -> tuple:
+    """`block_success_prob`'s geometry arguments (factors, owner, n_blocks,
+    noise) for n_blocks fresh `sample_blocks` geometries, whose factors are
+    computed once (their distances freed before the kernel), or for one
+    realization's `fixed_factors` repeated, which draws nothing from rng."""
     if fixed_factors is None:
         counts, distances = sample_blocks(ppp, n_blocks, rng)
         factors = suppression_factors(distances, ppp.typical_distance_r0, channel)
@@ -152,19 +159,18 @@ def _chunk_success_prob(ppp: PppConfig, channel: ChannelParams, protocol: Protoc
     else:
         counts = np.full(n_blocks, fixed_factors.size)
         factors = np.tile(fixed_factors, n_blocks)
-    return block_success_prob(factors, block_owner(counts), n_blocks,
-                              channel.noise_success_factor(ppp.typical_distance_r0),
-                              protocol, q, rng)
+    return (factors, block_owner(counts), n_blocks,
+            channel.noise_success_factor(ppp.typical_distance_r0))
 
 
-def _chunk_acks(ppp: PppConfig, channel: ChannelParams, protocol: Protocol, q: float, T: int,
-                n_blocks: int, rng: np.random.Generator,
-                fixed_factors: Optional[np.ndarray] = None) -> np.ndarray:
-    """Success sequences (n_blocks, T) of one chunk: success probability, then
-    the typical pair's access, then the Bernoulli slots, all from rng."""
-    p = _chunk_success_prob(ppp, channel, protocol, q, n_blocks, rng, fixed_factors)
-    access = rng.random((n_blocks, 1 if protocol is Protocol.BLOCK else T)) < q
-    return (rng.random((n_blocks, T)) < access * p[:, None]).astype(np.uint8)
+def _chunk_acks(geometry: tuple, protocol: Protocol, q: float, T: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Success sequences (n_blocks, T) on one chunk's `_chunk_geometry`:
+    success probability, then the typical pair's access, then the Bernoulli
+    slots, all from rng."""
+    p = block_success_prob(*geometry, protocol, q, rng)
+    access = rng.random((p.size, 1 if protocol is Protocol.BLOCK else T)) < q
+    return (rng.random((p.size, T)) < access * p[:, None]).astype(np.uint8)
 
 
 def _each_chunk(n_blocks: int, seed_seq: np.random.SeedSequence, threads: int, work) -> list:
@@ -187,44 +193,54 @@ def _each_chunk(n_blocks: int, seed_seq: np.random.SeedSequence, threads: int, w
 def estimate_block_controllability(config: ExperimentConfig) -> list[SweepResult]:
     """Empirical block-controllability probability per (protocol, system, q).
 
-    Simulates num_realizations single blocks per point, redrawing the
-    geometry each block (set fixed_geometry for a conditional study on one
-    realization). Idle typical blocks count in the denominator. Restless
-    (run-based) and rested (total-based) flags are evaluated on the same
-    simulated sequences and counted per chunk; with state_level the loops
-    flag them, from start states x_des + N(0, I) drawn after the chunk's acks.
+    Simulates num_realizations single blocks, redrawing the geometry each
+    block (set fixed_geometry for a conditional study on one realization).
+    One chunk stream serves every point: each chunk's geometry is drawn and
+    factored once, then every (protocol, q) in config order draws its
+    interferer activity, access and slots on it. So a point's estimate
+    depends on the `protocols` and `q_values` it runs with. Idle typical
+    blocks count in the denominator. Restless (run-based) and rested
+    (total-based) flags are evaluated on the same simulated sequences and
+    counted per chunk; with state_level the loops flag them, from start
+    states x_des + N(0, I) drawn, like the loops' noise, from a child of the
+    chunk's stream.
     """
-    root = np.random.SeedSequence(config.seed)
-    combo_seeds = root.spawn(len(config.protocols) * len(config.q_values) + 1)
+    chunk_seq, fixed_seq = np.random.SeedSequence(config.seed).spawn(2)
     fixed = None
     if config.fixed_geometry:
-        real = sample_ppp(config.ppp, np.random.Generator(np.random.PCG64(combo_seeds[-1])))
+        real = sample_ppp(config.ppp, np.random.Generator(np.random.PCG64(fixed_seq)))
         fixed = suppression_factors(real, config.ppp.typical_distance_r0, config.channel)
     plant = (config.plant or default_system_for(config.v, config.process_noise_std)
              if config.state_level else None)
     runners = {"restless": run_block_restless, "rested": run_block_rested}
+    points = [(protocol, q) for protocol in config.protocols for q in config.q_values]
     n, v = config.num_realizations, config.v
 
-    def chunk_hits(protocol, q, size, rng):
-        """Controllable blocks of one chunk, per system."""
-        acks = _chunk_acks(config.ppp, config.channel, protocol, q, config.T, size, rng, fixed)
-        if plant is None:
-            flags = {"restless": longest_runs(acks) >= v, "rested": acks.sum(axis=1) >= v}
-        else:
-            x0 = plant.x_des + rng.normal(0.0, 1.0, (size, plant.n))
-            flags = {s: runners[s](plant, acks, x0, rng).block_controllable
-                     for s in config.systems}
-        return [int(np.count_nonzero(flags[system])) for system in config.systems]
+    def chunk_hits(size, rng):
+        """Controllable blocks of one chunk, per point, then per system. The
+        loops draw from their own child stream, so every point's acks, and
+        so the state-level flags, equal the ack-level ones."""
+        geometry = _chunk_geometry(config.ppp, config.channel, size, rng, fixed)
+        loop_rng = rng.spawn(1)[0] if plant is not None else None
+        hits = []
+        for protocol, q in points:
+            acks = _chunk_acks(geometry, protocol, q, config.T, rng)
+            if plant is None:
+                flags = {"restless": longest_runs(acks) >= v, "rested": acks.sum(axis=1) >= v}
+            else:
+                x0 = plant.x_des + loop_rng.normal(0.0, 1.0, (size, plant.n))
+                flags = {s: runners[s](plant, acks, x0, loop_rng).block_controllable
+                         for s in config.systems}
+            hits.extend(int(np.count_nonzero(flags[system])) for system in config.systems)
+        return hits
 
+    totals = map(sum, zip(*_each_chunk(n, chunk_seq, config.threads, chunk_hits)))
     results: list[SweepResult] = []
-    seeds = iter(combo_seeds)
-    for protocol in config.protocols:
-        for q in config.q_values:
-            chunks = _each_chunk(n, next(seeds), config.threads, partial(chunk_hits, protocol, q))
-            for system, hits in zip(config.systems, map(sum, zip(*chunks))):
-                p_hat = hits / n
-                results.append(SweepResult(protocol, system, q, p_hat,
-                                           1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)))
+    for protocol, q in points:
+        for system in config.systems:
+            p_hat = next(totals) / n
+            results.append(SweepResult(protocol, system, q, p_hat,
+                                       1.96 * math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)))
     return results
 
 
@@ -292,7 +308,8 @@ def estimate_meta_empirical(
         return 0.0
 
     def chunk_hits(size, rng):
-        p = _chunk_success_prob(config.ppp, config.channel, protocol, q, size, rng)
+        p = block_success_prob(*_chunk_geometry(config.ppp, config.channel, size, rng),
+                               protocol, q, rng)
         return int(np.count_nonzero(p >= pstar))
 
     n = config.num_realizations

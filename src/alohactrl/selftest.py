@@ -178,8 +178,9 @@ def ppp_trivial_cases():
 def no_acks_at_q_zero():
     ppp = geometry.PppConfig(5e-3, 100.0, 10.0)
     for protocol in Protocol:
-        acks = montecarlo._chunk_acks(ppp, channel.default_channel(), protocol, 0.0, 10, 500,
-                                      _rng(3))
+        rng = _rng(3)
+        chunk = montecarlo._chunk_geometry(ppp, channel.default_channel(), 500, rng)
+        acks = montecarlo._chunk_acks(chunk, protocol, 0.0, 10, rng)
         assert not acks.any(), protocol
 
 

@@ -36,6 +36,7 @@ from alohactrl.montecarlo import (
     estimate_meta_empirical,
     run_regret_study,
     _chunk_acks,
+    _chunk_geometry,
 )
 
 
@@ -290,8 +291,9 @@ def test_c6_fig2_orderings():
     # (c) all curves are exactly 0 at q=0
     # (q = 0 is outside ExperimentConfig's range, so the raw ack draw)
     for protocol in config.protocols:
-        acks = _chunk_acks(config.ppp, config.channel, protocol, 0.0, config.T, 20_000,
-                           rng(606))
+        gen = rng(606)
+        acks = _chunk_acks(_chunk_geometry(config.ppp, config.channel, 20_000, gen),
+                           protocol, 0.0, config.T, gen)
         assert not acks.any()
 
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ import numpy as np
 from alohactrl.aloha import Protocol
 from alohactrl.channel import ChannelParams, block_owner, block_success_prob
 from alohactrl.geometry import PppConfig, sample_ppp
-from alohactrl.montecarlo import _chunk_acks
+from alohactrl.montecarlo import _chunk_acks, _chunk_geometry
 
 
 def rng(seed=0):
@@ -21,10 +21,10 @@ def rng(seed=0):
 
 def access(protocol, q, n_blocks, T, seed):
     """Per-slot access of the typical pair over n_blocks blocks, shape (n_blocks, T)."""
-    return _chunk_acks(
-        PppConfig(0.0, 100.0, 10.0), ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0),
-        protocol, q, T, n_blocks, rng(seed),
-    )
+    gen = rng(seed)
+    geometry = _chunk_geometry(PppConfig(0.0, 100.0, 10.0),
+                               ChannelParams(1.0, 1.0, 2.0, 0.0, 1.0), n_blocks, gen)
+    return _chunk_acks(geometry, protocol, q, T, gen)
 
 
 class TestPolicy:

@@ -22,7 +22,7 @@ from alohactrl.montecarlo import (
     estimate_meta_empirical,
     run_regret_study,
     _chunk_acks,
-    _chunk_success_prob,
+    _chunk_geometry,
 )
 from alohactrl.control import longest_runs
 
@@ -60,11 +60,9 @@ class TestConfigValidation:
 
 class TestSimulateAckBlocks:
     def test_q_zero_all_idle(self):
-        acks = _chunk_acks(
-            PppConfig(5e-4, 150.0, 10.0), unit_params(), Protocol.BLOCK,
-            0.0, 10, 2000, np.random.default_rng(1),
-        )
-        assert not acks.any()
+        rng = np.random.default_rng(1)
+        geometry = _chunk_geometry(PppConfig(5e-4, 150.0, 10.0), unit_params(), 2000, rng)
+        assert not _chunk_acks(geometry, Protocol.BLOCK, 0.0, 10, rng).any()
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     @pytest.mark.parametrize("fixed", [False, True])
@@ -73,22 +71,15 @@ class TestSimulateAckBlocks:
         ppp = PppConfig(5e-4, 150.0, 10.0)
         factors = (suppression_factors(sample_ppp(ppp, np.random.default_rng(2)), 10.0,
                                        default_channel()) if fixed else None)
-        acks = _chunk_acks(ppp, default_channel(), protocol, 0.0, 10, 5000,
-                           np.random.default_rng(3), factors)
+        rng = np.random.default_rng(3)
+        acks = _chunk_acks(_chunk_geometry(ppp, default_channel(), 5000, rng, factors),
+                           protocol, 0.0, 10, rng)
         assert acks.shape == (5000, 10) and not acks.any()
-
-    @pytest.mark.parametrize("distances", [
-        np.array([1.0, -2.0]), np.array([0.0]), np.ones((1, 1)),
-    ])
-    def test_rejects_nonpositive_distance(self, distances):
-        # run_ts is the one entry that takes fixed distances from a caller
-        with pytest.raises(ValueError):
-            run_ts([distances], [0.5], Protocol.BLOCK, default_channel(), 10, 1,
-                   np.random.default_rng(3), r0=10.0)
 
     def test_fixed_geometry_blocks_repeat_the_realization(self):
         # the realization's factors, repeated as 4 blocks of 3, equal the
-        # kernel on the tiled distances, activity draws included
+        # kernel on the tiled distances, activity draws included; the tiling
+        # draws nothing
         ppp = PppConfig(5e-4, 150.0, 10.0)
         params = unit_params(alpha=2.0)
         real = np.array([12.0, 30.0, 55.0])
@@ -96,7 +87,8 @@ class TestSimulateAckBlocks:
         tiled = suppression_factors(np.tile(real, 4), 10.0, params)
         for protocol in Protocol:
             once, per_block = np.random.default_rng(0), np.random.default_rng(0)
-            got = _chunk_success_prob(ppp, params, protocol, 0.5, 4, once, fixed)
+            got = block_success_prob(*_chunk_geometry(ppp, params, 4, once, fixed),
+                                     protocol, 0.5, once)
             want = block_success_prob(tiled, block_owner([3, 3, 3, 3]), 4,
                                       params.noise_success_factor(10.0), protocol, 0.5,
                                       per_block)
@@ -109,7 +101,8 @@ class TestSimulateAckBlocks:
         params = unit_params(alpha=2.0)
         for protocol in Protocol:
             chunk, direct = np.random.default_rng(4), np.random.default_rng(4)
-            got = _chunk_success_prob(ppp, params, protocol, 0.5, 50, chunk)
+            got = block_success_prob(*_chunk_geometry(ppp, params, 50, chunk),
+                                     protocol, 0.5, chunk)
             counts, distances = sample_blocks(ppp, 50, direct)
             want = block_success_prob(suppression_factors(distances, 10.0, params),
                                       block_owner(counts), 50,
@@ -125,8 +118,10 @@ class TestSimulateAckBlocks:
         params = unit_params(alpha=2.0)
         real = np.array([11.0, 16.0, 35.0, 60.0])
         q, T, n_blocks = 0.7, 10, 40_000
-        acks = _chunk_acks(PppConfig(5e-4, 150.0, 10.0), params, protocol, q, T, n_blocks,
-                           np.random.default_rng(8), suppression_factors(real, 10.0, params))
+        rng = np.random.default_rng(8)
+        geometry = _chunk_geometry(PppConfig(5e-4, 150.0, 10.0), params, n_blocks, rng,
+                                   suppression_factors(real, 10.0, params))
+        acks = _chunk_acks(geometry, protocol, q, T, rng)
         totals = acks.sum(axis=1)
         want = T * q * block_success_prob(
             suppression_factors(real, 10.0, params),
@@ -136,12 +131,13 @@ class TestSimulateAckBlocks:
         assert abs(totals.mean() - want) < 3 * se
 
     def test_reproducible_across_threads(self):
-        # 9,000 blocks are three chunks, which threads = 4 runs in the pool
+        # 9,000 blocks are three chunks, which threads = 4 runs in the pool;
+        # each chunk runs all four points on its geometry
         config = small_config(ppp=PppConfig(5e-3, 100.0, 10.0), channel=default_channel(),
-                              protocols=(Protocol.CLASSICAL,), q_values=(0.6,), T=12,
-                              num_realizations=9000, seed=5)
+                              q_values=(0.6, 0.9), T=12, num_realizations=9000, seed=5)
         a = estimate_block_controllability(config)
         b = estimate_block_controllability(replace(config, threads=4))
+        assert len(a) == 8
         assert a == b
 
     def test_longest_run_helper(self):
@@ -155,9 +151,9 @@ class TestSimulateAckBlocks:
         ppp = PppConfig(5e-4, 150.0, 10.0)
         params = unit_params(alpha=2.0)
         q = 0.5
-        acks = _chunk_acks(
-            ppp, params, Protocol.CLASSICAL, q, 10, 40_000, np.random.default_rng(9)
-        )
+        rng = np.random.default_rng(9)
+        acks = _chunk_acks(_chunk_geometry(ppp, params, 40_000, rng), Protocol.CLASSICAL,
+                           q, 10, rng)
         emp = float(acks.mean())
         want = moment_zeta(1, q, ppp, params, Protocol.CLASSICAL)
         n = acks.size
@@ -182,6 +178,22 @@ class TestEstimateBlockControllability:
         # quadrupling n halves the CI width (within estimate noise)
         assert r2.half_width_95 < 0.65 * r1.half_width_95
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_one_geometry_per_chunk_for_all_points(self, monkeypatch, fixed):
+        # 9,000 blocks are three chunks; all six (protocol, q) points share
+        # each chunk's geometry, and a fixed realization is sampled once
+        calls = {"sample_blocks": 0, "sample_ppp": 0}
+        for name in calls:
+            def counted(*args, real=getattr(montecarlo, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(montecarlo, name, counted)
+        results = estimate_block_controllability(small_config(
+            q_values=(0.3, 0.6, 0.9), num_realizations=9000, fixed_geometry=fixed))
+        assert len(results) == 12
+        assert calls == ({"sample_blocks": 0, "sample_ppp": 1} if fixed
+                         else {"sample_blocks": 3, "sample_ppp": 0})
+
     def test_fixed_geometry_mode(self):
         results = estimate_block_controllability(
             small_config(fixed_geometry=True, q_values=(0.4,), num_realizations=2000)
@@ -189,20 +201,13 @@ class TestEstimateBlockControllability:
         assert all(0.0 <= r.estimate <= 1.0 for r in results)
 
     def test_state_level_agrees_with_ack_level(self):
-        cfg = small_config(
-            q_values=(0.6,), num_realizations=2500,
-            protocols=(Protocol.BLOCK,),
-        )
-        ack = {r.system: r for r in estimate_block_controllability(cfg)}
-        state = {
-            r.system: r
-            for r in estimate_block_controllability(
-                ExperimentConfig(**{**cfg.__dict__, "state_level": True})
-            )
-        }
-        # the state-level loops run on the ack-level stream of the same seed
-        for system in ("restless", "rested"):
-            assert state[system].estimate == ack[system].estimate
+        cfg = small_config(q_values=(0.3, 0.6), num_realizations=2500)
+        ack = estimate_block_controllability(cfg)
+        state = estimate_block_controllability(replace(cfg, state_level=True))
+        # the state-level loops run on the ack-level stream of the same seed,
+        # every point of the chunk included
+        assert len(state) == 8
+        assert state == ack
 
 
 class TestStateLevel:
